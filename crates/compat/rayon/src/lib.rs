@@ -32,6 +32,11 @@ pub fn current_num_threads() -> usize {
 
 /// Below this many items per stripe, spawning a thread costs more than the
 /// work it would take on.
+///
+/// So a job runs on fewer threads than [`current_num_threads`] when it has
+/// fewer than `2 x current_num_threads()` items, and runs serially on the
+/// calling thread when it has fewer than 4: cutting the work into exactly
+/// one chunk per thread gets no parallelism at all on two threads.
 const MIN_ITEMS_PER_THREAD: usize = 2;
 
 fn stripe_count(items: usize) -> usize {
@@ -196,7 +201,9 @@ impl<'a, T: Sync, F> ParMap<'a, T, F> {
 
 #[cfg(test)]
 mod tests {
+    use super::current_num_threads;
     use super::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn par_chunks_mut_touches_every_chunk_once() {
@@ -210,6 +217,18 @@ mod tests {
         for (pos, &v) in data.iter().enumerate() {
             assert_eq!(v, pos / 10 + 1, "element {pos}");
         }
+    }
+
+    #[test]
+    fn two_chunks_per_thread_run_on_several_threads() {
+        let threads = current_num_threads();
+        if threads < 2 {
+            return;
+        }
+        let mut ids = vec![None; 2 * threads];
+        ids.par_chunks_mut(1).for_each(|slot| slot[0] = Some(std::thread::current().id()));
+        let distinct: HashSet<_> = ids.into_iter().map(Option::unwrap).collect();
+        assert!(distinct.len() > 1, "{} chunks ran on one thread", 2 * threads);
     }
 
     #[test]

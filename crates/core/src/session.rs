@@ -267,13 +267,11 @@ impl InferenceSession {
             self.input_dim(),
             "request payload length must match the model input dim"
         );
-        let last = self.layers.len() - 1;
-        let mut x = inputs.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
+        let (first, rest) = self.layers.split_first().expect("a session has at least one layer");
+        let mut x = first.kernel.forward_batch(inputs);
+        for layer in rest {
+            relu_in_place(&mut x);
             x = layer.kernel.forward_batch(&x);
-            if i != last {
-                relu_in_place(&mut x);
-            }
         }
         x
     }

@@ -6,10 +6,22 @@
 //! be done offline before the model inference starts"), plus the two mask
 //! vectors the masked GEMM kernel consumes at run time.
 
+use rayon::prelude::*;
 use tw_gpu_sim::TwTileShape;
 use tw_pruning::{TileWiseMask, TwTile};
 use tw_sparse::RowColMask;
-use tw_tensor::{gemm, Matrix};
+use tw_tensor::Matrix;
+
+/// Output columns one pass of the tile kernel accumulates in registers.
+/// It must stay well below the served G = 32: a tile narrower than one
+/// block runs entirely in the slower remainder loop.
+const NR: usize = 16;
+
+/// Multiply-adds (`rows x kept_elements`) from which [`TileWiseMatrix::matmul`]
+/// splits its output rows across cores.  A BERT-base layer at 128 rows is
+/// well above it; a serving batch (at most 8 rows of a ~9k-weight layer)
+/// is far below it, so serving workers never spawn threads.
+const PARALLEL_MIN_MACS: usize = 1 << 20;
 
 /// One pre-processed weight tile: compacted payload plus masks.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,6 +30,9 @@ pub struct CompactTile {
     col_indices: Vec<usize>,
     /// Keep mask over the K dimension.
     row_keep: Vec<bool>,
+    /// Original row indices of the tile's surviving rows (the `true`
+    /// positions of `row_keep`).
+    row_indices: Vec<usize>,
     /// Dense payload of shape `kept_rows x kept_cols` (surviving rows and
     /// columns only, in original relative order).
     payload: Matrix,
@@ -70,11 +85,12 @@ impl TileWiseMatrix {
             .tiles()
             .iter()
             .map(|tile: &TwTile| {
-                let kept_rows = tile.kept_row_indices();
-                let payload = weights.select_rows(&kept_rows).select_cols(&tile.col_indices);
+                let row_indices = tile.kept_row_indices();
+                let payload = weights.select_rows(&row_indices).select_cols(&tile.col_indices);
                 CompactTile {
                     col_indices: tile.col_indices.clone(),
                     row_keep: tile.row_keep.clone(),
+                    row_indices,
                     payload,
                 }
             })
@@ -137,13 +153,7 @@ impl TileWiseMatrix {
     pub fn to_dense(&self) -> Matrix {
         let mut out = Matrix::zeros(self.k, self.n);
         for tile in &self.tiles {
-            let kept_rows: Vec<usize> = tile
-                .row_keep
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
-            for (pr, &r) in kept_rows.iter().enumerate() {
+            for (pr, &r) in tile.row_indices.iter().enumerate() {
                 for (pc, &c) in tile.col_indices.iter().enumerate() {
                     out.set(r, c, tile.payload.get(pr, pc));
                 }
@@ -158,32 +168,85 @@ impl TileWiseMatrix {
     /// This is the functional equivalent of the batched masked GEMM of
     /// Fig. 7: each tile contributes a small dense GEMM over its surviving
     /// rows/columns, scattered into the output at the tile's original column
-    /// positions.
+    /// positions.  Each output sums its products in ascending K order and
+    /// skips zero activations, like [`tw_tensor::gemm()`], so the result equals
+    /// `gemm(a, &self.to_dense())` exactly.
+    ///
+    /// From about 1M multiply-adds (`rows x kept_elements()`) the output
+    /// rows are cut into bands, at least two per thread, and each band runs
+    /// every tile on its own rows.
     pub fn matmul(&self, a: &Matrix) -> Matrix {
         assert_eq!(a.cols(), self.k, "activation K must match the weight matrix");
-        let m = a.rows();
-        let mut out = Matrix::zeros(m, self.n);
-        for tile in &self.tiles {
-            if tile.kept_rows() == 0 || tile.kept_cols() == 0 {
-                continue;
-            }
-            let kept_rows: Vec<usize> = tile
-                .row_keep
-                .iter()
+        let (m, n) = (a.rows(), self.n);
+        let mut out = vec![0.0f32; m * n];
+        if m * self.kept_elements() < PARALLEL_MIN_MACS {
+            self.matmul_rows(a, 0, &mut out);
+        } else {
+            // The pool runs a job with fewer than two chunks per thread serially.
+            let band_rows = m.div_ceil(2 * rayon::current_num_threads());
+            out.par_chunks_mut(band_rows * n)
                 .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect();
-            // Gather the surviving activation columns (this is the step the
-            // transposed layout keeps coalesced on the GPU).
-            let a_tile = a.select_cols(&kept_rows);
-            let c_tile = gemm(&a_tile, &tile.payload);
-            for r in 0..m {
-                for (pc, &c) in tile.col_indices.iter().enumerate() {
-                    out.set(r, c, out.get(r, c) + c_tile.get(r, pc));
+                .for_each(|(band, rows)| self.matmul_rows(a, band * band_rows, rows));
+        }
+        Matrix::from_vec(m, n, out)
+    }
+
+    /// Computes the output rows starting at `first_row` into `out` (whole
+    /// rows of width `n`, zero on entry).
+    fn matmul_rows(&self, a: &Matrix, first_row: usize, out: &mut [f32]) {
+        // One activation row's nonzero kept activations, as payload row
+        // offsets and values.
+        let mut offsets = vec![0usize; self.k];
+        let mut values = vec![0.0f32; self.k];
+        for tile in &self.tiles {
+            let kept_cols = tile.kept_cols();
+            let payload = tile.payload.as_slice();
+            for (i, out_row) in out.chunks_exact_mut(self.n).enumerate() {
+                let a_row = a.row(first_row + i);
+                let mut len = 0;
+                for (pr, &r) in tile.row_indices.iter().enumerate() {
+                    // Branch-free: always write, advance only past nonzeros.
+                    offsets[len] = pr * kept_cols;
+                    values[len] = a_row[r];
+                    len += usize::from(a_row[r] != 0.0);
+                }
+                let (offsets, values) = (&offsets[..len], &values[..len]);
+                let mut blocks = tile.col_indices.chunks_exact(NR);
+                for (b, cols) in (&mut blocks).enumerate() {
+                    let mut acc = [0.0f32; NR];
+                    accumulate(payload, offsets, values, b * NR, &mut acc);
+                    scatter_add(out_row, cols, &acc);
+                }
+                let tail = blocks.remainder();
+                if !tail.is_empty() {
+                    let mut acc = [0.0f32; NR];
+                    let acc = &mut acc[..tail.len()];
+                    accumulate(payload, offsets, values, kept_cols - tail.len(), acc);
+                    scatter_add(out_row, tail, acc);
                 }
             }
         }
-        out
+    }
+}
+
+/// `acc[j] += values[t] * payload[offsets[t] + col0 + j]` over every `t` in
+/// order: one column block of one output row.
+#[inline(always)]
+fn accumulate(payload: &[f32], offsets: &[usize], values: &[f32], col0: usize, acc: &mut [f32]) {
+    for (&offset, &v) in offsets.iter().zip(values) {
+        let start = offset + col0;
+        let w_row = &payload[start..start + acc.len()];
+        for (c, &w) in acc.iter_mut().zip(w_row) {
+            *c += v * w;
+        }
+    }
+}
+
+/// Adds a block's accumulators into the output row at their original columns.
+#[inline(always)]
+fn scatter_add(out_row: &mut [f32], cols: &[usize], acc: &[f32]) {
+    for (&c, &v) in cols.iter().zip(acc) {
+        out_row[c] += v;
     }
 }
 
@@ -191,7 +254,7 @@ impl TileWiseMatrix {
 mod tests {
     use super::*;
     use tw_pruning::{tw, ImportanceScores, SparsityTarget, TileWiseConfig};
-    use tw_tensor::DEFAULT_TOL;
+    use tw_tensor::gemm;
 
     fn pruned_pair(seed: u64, sparsity: f64, g: usize) -> (Matrix, TileWiseMask) {
         let weights = Matrix::random_normal(96, 160, 1.0, seed);
@@ -217,11 +280,7 @@ mod tests {
             let twm = TileWiseMatrix::from_mask(&weights, &mask);
             let a = Matrix::random_uniform(24, 96, 1.0, seed + 100);
             let reference = gemm(&a, &mask.to_pattern_mask().apply(&weights));
-            let result = twm.matmul(&a);
-            assert!(
-                result.approx_eq(&reference, DEFAULT_TOL),
-                "mismatch at sparsity {sparsity} G={g}"
-            );
+            assert_eq!(twm.matmul(&a), reference, "mismatch at sparsity {sparsity} G={g}");
         }
     }
 
@@ -282,7 +341,15 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use tw_pruning::{tw, ImportanceScores, SparsityTarget, TileWiseConfig};
-    use tw_tensor::DEFAULT_TOL;
+    use tw_tensor::gemm;
+
+    /// Uniform activations with the negative half clamped to zero, as a
+    /// hidden layer sees them after ReLU.
+    fn relu_activations(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut a = Matrix::random_uniform(rows, cols, 1.0, seed);
+        a.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+        a
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -305,7 +372,33 @@ mod proptests {
             let twm = TileWiseMatrix::from_mask(&weights, &mask);
             let a = Matrix::random_uniform(m, k, 1.0, seed.wrapping_add(1));
             let reference = gemm(&a, &mask.to_pattern_mask().apply(&weights));
-            prop_assert!(twm.matmul(&a).approx_eq(&reference, DEFAULT_TOL));
+            prop_assert_eq!(twm.matmul(&a), reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// On a BERT-shaped layer with ReLU-clamped inputs, `matmul` equals
+        /// the dense reference bit for bit, on the serial path (one row) and
+        /// on the banded path (13 rows, which do not split evenly into bands,
+        /// and 130 rows).
+        #[test]
+        fn matmul_is_exactly_dense_gemm_on_both_paths(
+            pick in 0usize..3, sparsity in 0.5f64..0.8, seed in any::<u64>(),
+        ) {
+            let rows = [1, 13, 130][pick];
+            let weights = Matrix::random_normal(768, 768, 1.0, seed);
+            let mask = tw::prune(
+                &ImportanceScores::magnitude(&weights),
+                &TileWiseConfig::with_granularity(128),
+                SparsityTarget::new(sparsity),
+            );
+            let twm = TileWiseMatrix::from_mask(&weights, &mask);
+            prop_assert_eq!(rows * twm.kept_elements() >= PARALLEL_MIN_MACS, rows > 1);
+            let a = relu_activations(rows, 768, seed.wrapping_add(1));
+            prop_assert!(a.count_zeros() > 0);
+            prop_assert_eq!(twm.matmul(&a), gemm(&a, &twm.to_dense()));
         }
     }
 }

@@ -13,7 +13,6 @@
 //!   the many-SM parallel execution.
 //! * [`gemm_masked`] — GEMM that skips pruned rows/columns of `B` according
 //!   to `mask_k` / `mask_n`, i.e. the `StreamMaskedGEMM` kernel of Listing 1.
-//! * [`batched_gemm`] — the batched formulation used after tile re-packing.
 
 use crate::matrix::Matrix;
 use rayon::prelude::*;
@@ -70,27 +69,6 @@ pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     c
-}
-
-/// GEMM accumulating into an existing output: `C += A * B`.
-pub fn gemm_acc(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "GEMM inner dimension mismatch");
-    assert_eq!(c.shape(), (a.rows(), b.cols()), "GEMM output shape mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a.get(i, p);
-            if aip == 0.0 {
-                continue;
-            }
-            let b_row = b.row(p);
-            let c_row = c.row_mut(i);
-            for j in 0..n {
-                c_row[j] += aip * b_row[j];
-            }
-        }
-    }
 }
 
 /// Tiled GEMM with output tiles of `ty x g` (Fig. 4 ①).
@@ -183,31 +161,6 @@ pub fn gemm_masked(a: &Matrix, b_compact: &Matrix, mask_k: &[bool], mask_n: &[bo
     c
 }
 
-/// Batched GEMM: `C_i = A * B_i` for every `B_i` in the batch, the execution
-/// form the paper's batching optimisation (Fig. 7 ③) reduces to.
-///
-/// All `B_i` must share the same number of rows (`A.cols()`); their column
-/// counts may differ (non-uniform tiles), in which case each output matches
-/// its own `B_i`.
-pub fn batched_gemm(a: &Matrix, bs: &[&Matrix]) -> Vec<Matrix> {
-    bs.iter().map(|b| gemm(a, b)).collect()
-}
-
-/// Rayon-parallel batched GEMM.
-pub fn batched_gemm_par(a: &Matrix, bs: &[&Matrix]) -> Vec<Matrix> {
-    bs.par_iter().map(|b| gemm(a, b)).collect()
-}
-
-/// The serving-side batched entry point: many activation matrices against
-/// one shared weight matrix, `C_i = A_i * B`, parallel over batch items.
-///
-/// This is the dual of [`batched_gemm_par`]: in a serving batch every
-/// request brings its own activations while the (pruned) weights are shared,
-/// so the batch axis lives on `A`.
-pub fn gemm_many(activations: &[&Matrix], b: &Matrix) -> Vec<Matrix> {
-    activations.par_iter().map(|a| gemm(a, b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,20 +193,6 @@ mod tests {
     #[should_panic(expected = "inner dimension mismatch")]
     fn gemm_shape_mismatch_panics() {
         let _ = gemm(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    fn gemm_acc_accumulates() {
-        let a = small_a();
-        let b = small_b();
-        let mut c = gemm(&a, &b);
-        gemm_acc(&a, &b, &mut c);
-        let doubled = {
-            let mut d = gemm(&a, &b);
-            d.scale(2.0);
-            d
-        };
-        assert!(c.approx_eq(&doubled, DEFAULT_TOL));
     }
 
     #[test]
@@ -316,31 +255,6 @@ mod tests {
         let c = gemm_masked(&a, &b_compact, &[false; 4], &[false; 5]);
         assert_eq!(c.shape(), (3, 5));
         assert_eq!(c.count_zeros(), 15);
-    }
-
-    #[test]
-    fn gemm_many_matches_individual() {
-        let b = Matrix::random_uniform(16, 8, 1.0, 12);
-        let a1 = Matrix::random_uniform(4, 16, 1.0, 13);
-        let a2 = Matrix::random_uniform(9, 16, 1.0, 14);
-        let outs = gemm_many(&[&a1, &a2], &b);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a1, &b), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a2, &b), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn batched_matches_individual() {
-        let a = Matrix::random_uniform(9, 16, 1.0, 9);
-        let b1 = Matrix::random_uniform(16, 8, 1.0, 10);
-        let b2 = Matrix::random_uniform(16, 5, 1.0, 11);
-        let outs = batched_gemm(&a, &[&b1, &b2]);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a, &b1), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a, &b2), DEFAULT_TOL));
-        let outs_par = batched_gemm_par(&a, &[&b1, &b2]);
-        assert!(outs_par[0].approx_eq(&outs[0], DEFAULT_TOL));
-        assert!(outs_par[1].approx_eq(&outs[1], DEFAULT_TOL));
     }
 
     #[test]
