@@ -44,11 +44,8 @@ use tw_bench::{csv_header, csv_row, fmt, json, report};
 use tw_cluster::{AutoscalerConfig, BalancerKind, Cluster, ClusterConfig, ReplicaSpec};
 use tw_gpu_sim::GpuDevice;
 use tw_memory::{ModelRegistry, PolicyKind};
-use tw_models::{RequestGenerator, TrafficSpec};
-use tw_serve::{
-    serve_closed_loop, serve_closed_loop_models, serve_open_loop, serve_open_loop_models,
-    AdmissionConfig, GpuDwell, MemoryConfig, ServeConfig,
-};
+use tw_models::{Arrival, RequestGenerator, TrafficSpec};
+use tw_serve::{AdmissionConfig, GpuDwell, MemoryConfig, ServeConfig, Server};
 
 const USAGE: &str = "usage: serving [--requests N] [--batch N] [--wait-ms MS] \
 [--workers A,B,..] [--dims D0,D1,..] [--sparsity F] [--granularity N] \
@@ -465,7 +462,7 @@ fn run_cluster(
             });
         }
         let mut cluster = Cluster::start_models(model_tiles.to_vec(), specs.clone(), config);
-        cluster.replay_assigned(&schedule, &assignment);
+        cluster.replay(&schedule, &assignment);
         let report = cluster.shutdown();
         assert_eq!(
             report.completed + report.shed,
@@ -641,13 +638,12 @@ fn run_single_server(
             .collect();
         let session = Arc::clone(&sessions[0]);
         eprintln!(
-            "# backend {}: plan [{}] | {:.1}% achieved sparsity | {} resident weight bytes x {} model(s) | batching win {:.2}x over 4 streams",
+            "# backend {}: plan [{}] | {:.1}% achieved sparsity | {} resident weight bytes x {} model(s)",
             backend,
             session.plan_summary(),
             session.sparsity() * 100.0,
             session.resident_bytes(),
             sessions.len(),
-            session.batching_speedup(opts.max_batch, 4),
         );
         // Hosted models behind one server, ids in `model_tiles` order.
         let build_registry = || {
@@ -661,10 +657,11 @@ fn run_single_server(
         let spec = traffic_spec(opts, session.input_dim());
         // One schedule per backend: every worker count replays the exact
         // same arrival sequence.
-        let schedule = spec.as_ref().map(|s| s.schedule());
+        let open_loop = spec.as_ref().map(|s| s.schedule());
         let mut generator = RequestGenerator::new(session.input_dim(), 1.0, opts.seed);
         let mut throughputs: Vec<(usize, f64)> = Vec::new();
         let label = backend_label(opts, backend);
+        let assignment = model_assignment(opts);
         for &workers in &opts.workers {
             let mut config = ServeConfig {
                 max_batch_size: opts.max_batch,
@@ -675,25 +672,13 @@ fn run_single_server(
                 memory,
                 ..ServeConfig::default()
             };
-            let report = match &spec {
+            // The closed loop replays fresh payloads all at offset zero;
+            // open-loop scenarios replay the backend's shared schedule.
+            let closed;
+            let schedule = match &spec {
                 None => {
-                    let payloads = generator.payloads(opts.requests);
-                    let report = if opts.models == 1 && memory.is_none() {
-                        serve_closed_loop(Arc::clone(&session), config, payloads).0
-                    } else {
-                        serve_closed_loop_models(
-                            build_registry(),
-                            config,
-                            payloads,
-                            &model_assignment(opts),
-                        )
-                        .0
-                    };
-                    assert_eq!(
-                        report.completed, opts.requests,
-                        "lost requests at {workers} workers ({backend})"
-                    );
-                    report
+                    closed = Arrival::closed_loop(generator.payloads(opts.requests));
+                    &closed
                 }
                 Some(spec) => {
                     config = config
@@ -702,26 +687,17 @@ fn run_single_server(
                     if let Some(depth) = opts.shed_depth {
                         config.queue_capacity = config.queue_capacity.max(depth);
                     }
-                    let schedule = schedule.as_deref().expect("schedule exists with a spec");
-                    let report = if opts.models == 1 && memory.is_none() {
-                        serve_open_loop(Arc::clone(&session), config, schedule).0
-                    } else {
-                        serve_open_loop_models(
-                            build_registry(),
-                            config,
-                            schedule,
-                            &model_assignment(opts),
-                        )
-                        .0
-                    };
-                    assert_eq!(
-                        report.completed + report.shed,
-                        opts.requests,
-                        "lost requests at {workers} workers ({backend})"
-                    );
-                    report
+                    open_loop.as_ref().expect("schedule exists with a spec")
                 }
             };
+            let server = Server::start_registry(build_registry(), config);
+            server.replay(schedule, &assignment);
+            let (report, _) = server.shutdown();
+            assert_eq!(
+                report.completed + report.shed,
+                opts.requests,
+                "lost requests at {workers} workers ({backend})"
+            );
             csv_row(&[
                 opts.scenario.as_str().to_string(),
                 label.clone(),

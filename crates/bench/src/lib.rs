@@ -541,7 +541,7 @@ mod tests {
     #[test]
     fn serve_run_record_round_trips_through_parse() {
         use std::time::Duration;
-        use tw_serve::{ClassPolicy, RunObservation, ServeReport, ShedReason, ShedRecord};
+        use tw_serve::{ClassPolicy, RunObservation, ServeReport};
         let classes = vec![
             ClassPolicy::with_deadline("interactive", Duration::from_millis(50)),
             ClassPolicy::best_effort("batch"),
@@ -569,11 +569,11 @@ mod tests {
                 deadline_met: None,
             },
         ];
-        let shed = vec![ShedRecord { id: 9, class: 0, reason: ShedReason::Deadline }];
         let report = ServeReport::from_observations(
             &observations,
-            &shed,
+            &[1, 0],
             &classes,
+            &[],
             Duration::from_secs(2),
             Vec::new(),
         )
@@ -605,15 +605,20 @@ mod tests {
     fn cluster_run_record_round_trips_through_parse() {
         use std::time::Duration;
         use tw_cluster::{ClusterReport, ReplicaReport};
-        use tw_serve::{LatencySummary, ServeReport};
+        use tw_serve::{LatencySummary, RunObservation, ServeReport};
+        let done =
+            RunObservation { class: 0, model: 0, cold: false, latency_s: 0.01, deadline_met: None };
         let replica = |name: &str, workers: usize, completed: usize| ReplicaReport {
             name: name.into(),
             device: "a100".into(),
             workers,
             plan: vec!["bsr".into(), "bsr".into()],
             routed: completed,
-            report: ServeReport::from_latencies(
-                vec![0.01; completed],
+            report: ServeReport::from_observations(
+                &vec![done; completed],
+                &[],
+                &[],
+                &[],
                 Duration::from_secs(1),
                 Vec::new(),
             ),

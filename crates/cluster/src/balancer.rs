@@ -15,7 +15,7 @@
 //!   result), and the policy large fleets actually deploy.
 //! * [`LeastPredictedWait`] — prices each replica's backlog with its own
 //!   cost model (`InferenceSession::dwell_model` by way of
-//!   `Server::predicted_wait`): batches ahead x that replica's batch dwell /
+//!   `Server::routing_probe`): batches ahead x that replica's batch dwell /
 //!   its worker count.  The only policy that sees *heterogeneity* — a deep
 //!   queue on a fast wide replica can still be the cheapest seat.
 //! * [`ResidencyAware`] — the memory-aware policy: prefers replicas where

@@ -21,9 +21,12 @@
 //!   backlog with that replica's own `InferenceSession::dwell_model`.
 //! * [`Autoscaler`] — threshold + hysteresis scaling on sustained
 //!   queue-depth or shed pressure; the cluster applies its decisions.
-//! * [`Cluster`] — routes classed submissions, replays
-//!   [`tw_models::Arrival`] schedules open-loop, and aggregates every
-//!   replica's outcome into a [`ClusterReport`].
+//! * [`Cluster`] — routes classed submissions ([`Cluster::submit_model`]),
+//!   replays [`tw_models::Arrival`] schedules on their own clock
+//!   ([`Cluster::replay`], on the same `tw_models::pace` loop as
+//!   `tw_serve::Server::replay`), and aggregates every replica's outcome
+//!   into a [`ClusterReport`] with `tw_serve`'s one report builder,
+//!   `ServeReport::from_observations`.
 //!
 //! # Id conservation
 //!
@@ -42,7 +45,7 @@
 //!    longer route to it and no new ids can reach it.
 //! 2. Its server runs `tw_serve::Server::shutdown`'s documented
 //!    close → join → collect ordering, draining everything already queued.
-//! 3. The retired outcome (spec, routed count, report, responses) is held
+//! 3. The retired outcome (spec, routed count, report, observations) is held
 //!    until [`Cluster::shutdown`] merges every replica — scaled-down ones
 //!    included — into the final report.
 //!
@@ -66,7 +69,7 @@ pub use report::{ClusterReport, ReplicaReport};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tilewise::TileWiseMatrix;
-use tw_models::Arrival;
+use tw_models::{pace, Arrival};
 use tw_serve::{
     Admission, AdmissionConfig, ClassId, ClassPolicy, MemoryConfig, ModelId, ServerClosed,
 };
@@ -139,24 +142,6 @@ impl ClusterConfig {
     /// Builder-style class list mirroring a traffic mix.
     pub fn with_traffic_classes(self, classes: &[tw_models::TrafficClass]) -> Self {
         self.with_classes(ClassPolicy::from_traffic(classes))
-    }
-
-    /// Builder-style override of the routing policy.
-    pub fn with_balancer(mut self, balancer: BalancerKind) -> Self {
-        self.balancer = balancer;
-        self
-    }
-
-    /// Builder-style override of the autoscaler.
-    pub fn with_autoscaler(mut self, autoscaler: AutoscalerConfig) -> Self {
-        self.autoscaler = Some(autoscaler);
-        self
-    }
-
-    /// Builder-style activation of per-replica VRAM residency management.
-    pub fn with_memory(mut self, memory: MemoryConfig) -> Self {
-        self.memory = Some(memory);
-        self
     }
 }
 
@@ -299,44 +284,26 @@ impl Cluster {
         Ok((pick, admission))
     }
 
-    /// Replays a `tw-models` traffic schedule open-loop: each [`Arrival`]
-    /// is routed at its offset from the start of the replay, on the
-    /// schedule's own clock.  Admission-refused requests land in the final
-    /// report's shed accounting.  (As with `tw_serve::serve_open_loop`,
-    /// activate admission control or size queues for the offered load when
-    /// the arrival clock must be honored under overload.)
-    ///
-    /// # Panics
-    /// Panics on arrivals whose class or payload does not fit the config.
-    pub fn replay(&mut self, schedule: &[Arrival]) {
-        self.replay_assigned(schedule, &[0]);
-    }
-
-    /// [`Cluster::replay`], with each arrival routed to a model from
-    /// `assignment` (cycled by arrival index) — the multi-model traffic
-    /// replay.  `&[0]` reproduces the single-model behavior;
-    /// `&[0, 1]` alternates two models per arrival; `&[0, 0, 0, 1]` skews
-    /// traffic 3:1.
+    /// Replays a `tw-models` traffic schedule on its own clock
+    /// ([`tw_models::pace`]): arrival `i` is routed at its offset from this
+    /// call, for model `assignment[i % assignment.len()]`.  `&[0]` serves
+    /// the default model only; `&[0, 1]` alternates two models per arrival;
+    /// `&[0, 0, 0, 1]` skews traffic 3:1.  Admission-refused requests land
+    /// in the final report's shed accounting.  As with
+    /// `tw_serve::Server::replay`, activate admission control or size
+    /// queues for the offered load when the arrival clock must be honoured
+    /// under overload.
     ///
     /// # Panics
     /// Panics on an empty `assignment`, or arrivals whose class, model or
     /// payload does not fit the config.
-    pub fn replay_assigned(&mut self, schedule: &[Arrival], assignment: &[ModelId]) {
+    pub fn replay(&mut self, schedule: &[Arrival], assignment: &[ModelId]) {
         assert!(!assignment.is_empty(), "model assignment cannot be empty");
-        let started = Instant::now();
-        for (index, arrival) in schedule.iter().enumerate() {
-            let target = started + arrival.at;
-            let now = Instant::now();
-            if target > now {
-                std::thread::sleep(target - now);
-            }
-            self.submit_model(
-                assignment[index % assignment.len()],
-                arrival.class,
-                arrival.payload.clone(),
-            )
-            .expect("open-loop submit before shutdown");
-        }
+        pace(schedule, |index, arrival| {
+            let model = assignment[index % assignment.len()];
+            self.submit_model(model, arrival.class, arrival.payload.clone())
+                .expect("replay submits before shutdown");
+        });
     }
 
     /// On the poll cadence, feed the autoscaler one pressure observation
@@ -583,13 +550,51 @@ mod tests {
         }
         .with_traffic_classes(&spec.classes);
         let mut cluster = Cluster::start(tiles(), specs(2, 1, 2e3), config);
-        cluster.replay(&spec.schedule());
+        cluster.replay(&spec.schedule(), &[0]);
         let report = cluster.shutdown();
         assert_eq!(report.completed + report.shed, 120);
         assert!(report.shed > 0, "a depth bound of 6 under a 3000 rps burst must shed");
         assert_eq!(report.classes.len(), 2);
         let by_class: usize = report.classes.iter().map(|c| c.completed + c.shed).sum();
         assert_eq!(by_class, 120, "per-class rows cover the run");
+    }
+
+    #[test]
+    fn one_replica_fleet_reports_exactly_its_replicas_rows() {
+        // Two models paging through VRAM that holds about one of them: the
+        // fleet-wide latency, class and model rows of a one-replica cluster
+        // must equal that replica's own report rows.
+        let models = vec![
+            ("m0".to_string(), tiles()),
+            ("m1".to_string(), InferenceSession::synthetic_tiles(&[24, 32, 12], 0.5, 8, 18)),
+        ];
+        let footprint =
+            InferenceSession::new(models[0].1.clone(), Backend::TileWise).resident_bytes() as u64;
+        let memory = MemoryConfig {
+            vram_bytes: Some(footprint + footprint / 4),
+            page_bytes: 256,
+            ..MemoryConfig::default()
+        };
+        let config = ClusterConfig { memory: Some(memory), ..ClusterConfig::default() }
+            .with_classes(vec![
+                ClassPolicy::with_deadline("interactive", Duration::from_secs(30)),
+                ClassPolicy::best_effort("batch"),
+            ]);
+        let mut cluster = Cluster::start_models(models, specs(1, 1, 0.0), config);
+        let schedule: Vec<Arrival> = (0..64)
+            .map(|i| Arrival { at: Duration::ZERO, class: i % 2, payload: vec![0.1; 24] })
+            .collect();
+        // Blocks of 16 per model, so every switch pages.
+        let assignment: Vec<ModelId> = [0, 1].iter().flat_map(|&m| [m; 16]).collect();
+        cluster.replay(&schedule, &assignment);
+        let report = cluster.shutdown();
+        let own = &report.replicas[0].report;
+        assert_eq!(report.completed, 64);
+        assert_eq!(report.models.len(), 2);
+        assert!(report.models.iter().all(|m| m.tile_misses > 0), "{:?}", report.models);
+        assert_eq!(report.latency, own.latency);
+        assert_eq!(report.classes, own.classes);
+        assert_eq!(report.models, own.models);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use tilewise::{Backend, InferenceSession, TileWiseMatrix};
 use tw_gpu_sim::GpuDevice;
 use tw_memory::ModelRegistry;
 use tw_serve::{
-    Admission, ClassId, GpuDwell, InferenceResponse, ModelId, ServeConfig, ServeReport, Server,
+    Admission, ClassId, GpuDwell, ModelId, RunObservation, ServeConfig, ServeReport, Server,
     ServerClosed,
 };
 
@@ -189,7 +189,10 @@ impl Replica {
             report.shed,
             routed,
         );
-        RetiredReplica { spec: self.spec, routed, report, responses }
+        // The cluster never drains a replica mid-run, so these responses
+        // are its whole output; only their observations are kept.
+        let observations = responses.iter().map(RunObservation::of).collect();
+        RetiredReplica { spec: self.spec, routed, report, observations }
     }
 }
 
@@ -202,9 +205,9 @@ pub struct RetiredReplica {
     pub routed: usize,
     /// Its final serving report.
     pub report: ServeReport,
-    /// Every response it produced (the cluster never drains mid-run, so
-    /// this is the replica's complete output).
-    pub responses: Vec<InferenceResponse>,
+    /// One observation per request it completed, from which the cluster
+    /// report builds its fleet-wide latency, class and model rows.
+    pub observations: Vec<RunObservation>,
 }
 
 #[cfg(test)]
@@ -230,7 +233,7 @@ mod tests {
         assert_eq!(replica.probe(0, 0, 0, true).warm_fraction, 1.0);
         let retired = replica.shutdown();
         assert_eq!(retired.report.completed, 25);
-        assert_eq!(retired.responses.len(), 25);
+        assert_eq!(retired.observations.len(), 25);
         assert_eq!(retired.routed, 25);
     }
 

@@ -4,7 +4,9 @@
 
 use crate::replica::RetiredReplica;
 use std::time::Duration;
-use tw_serve::{ClassPolicy, ClassStats, LatencySummary, ModelStats, ServeReport};
+use tw_memory::ModelPagingStats;
+use tw_serve::stats::per_second;
+use tw_serve::{ClassPolicy, ClassStats, LatencySummary, ModelStats, RunObservation, ServeReport};
 
 /// One replica's slice of the cluster report.
 #[derive(Clone, Debug)]
@@ -52,10 +54,12 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Aggregates retired replicas into the cluster-wide view.  Per-class
-    /// rows are rebuilt from the union of all replicas' responses so the
-    /// cluster percentiles are true order statistics, not averages of
-    /// per-replica percentiles.
+    /// Aggregates retired replicas into the cluster-wide view.  The
+    /// latency, per-class and per-model rows come from
+    /// [`ServeReport::from_observations`] over the union of every replica's
+    /// observations, so the cluster percentiles are true order statistics,
+    /// not averages of per-replica percentiles; shed counts and tile
+    /// counters are summed over the replicas' own rows.
     pub fn aggregate(
         balancer: String,
         classes: &[ClassPolicy],
@@ -63,81 +67,32 @@ impl ClusterReport {
         scale_events: Vec<String>,
         wall: Duration,
     ) -> Self {
-        let all_latencies: Vec<f64> = retired
-            .iter()
-            .flat_map(|r| r.responses.iter().map(|resp| resp.latency.as_secs_f64()))
-            .collect();
-        let class_stats: Vec<ClassStats> = classes
-            .iter()
-            .enumerate()
-            .map(|(id, policy)| {
-                let samples: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.class == id)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let good = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.class == id && resp.deadline_met != Some(false))
-                    .count();
-                ClassStats {
-                    class: id,
-                    name: policy.name.clone(),
-                    completed: samples.len(),
-                    shed: retired
-                        .iter()
-                        .map(|r| r.report.classes.get(id).map_or(0, |c| c.shed))
-                        .sum(),
-                    good,
-                    latency: LatencySummary::from_samples(samples),
-                }
-            })
-            .collect();
-        // Per-model rows: true fleet-wide cold/warm order statistics from
-        // the union of responses, tile counters summed over the replicas'
-        // own per-model rows.
+        let observations: Vec<RunObservation> =
+            retired.iter().flat_map(|r| r.observations.iter().copied()).collect();
         let num_models = retired.iter().map(|r| r.report.models.len()).max().unwrap_or(0);
-        let model_stats: Vec<ModelStats> = (0..num_models)
-            .map(|id| {
-                let name = retired
-                    .iter()
-                    .find_map(|r| r.report.models.get(id).map(|m| m.name.clone()))
-                    .unwrap_or_else(|| format!("model-{id}"));
-                let warm: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.model == id && !resp.cold)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let cold: Vec<f64> = retired
-                    .iter()
-                    .flat_map(|r| r.responses.iter())
-                    .filter(|resp| resp.model == id && resp.cold)
-                    .map(|resp| resp.latency.as_secs_f64())
-                    .collect();
-                let row = |f: fn(&ModelStats) -> u64| -> u64 {
-                    retired.iter().filter_map(|r| r.report.models.get(id)).map(f).sum()
-                };
-                ModelStats {
-                    model: id,
-                    name,
-                    completed: warm.len() + cold.len(),
-                    cold: cold.len(),
-                    warm_latency: LatencySummary::from_samples(warm),
-                    cold_latency: LatencySummary::from_samples(cold),
-                    tile_hits: row(|m| m.tile_hits),
-                    tile_misses: row(|m| m.tile_misses),
-                    bytes_paged: row(|m| m.bytes_paged),
-                    transfer_sim_s: retired
-                        .iter()
-                        .filter_map(|r| r.report.models.get(id))
-                        .map(|m| m.transfer_sim_s)
-                        .sum(),
-                }
-            })
-            .collect();
+        let mut paging = vec![(String::new(), ModelPagingStats::default()); num_models];
+        let mut shed = vec![0; classes.len()];
+        for report in retired.iter().map(|r| &r.report) {
+            for row in &report.classes {
+                shed[row.class] += row.shed;
+            }
+            for row in &report.models {
+                let (name, sum) = &mut paging[row.model];
+                name.clone_from(&row.name);
+                sum.hits += row.tile_hits;
+                sum.misses += row.tile_misses;
+                sum.bytes_transferred += row.bytes_paged;
+                sum.transfer_seconds += row.transfer_sim_s;
+            }
+        }
+        let fleet = ServeReport::from_observations(
+            &observations,
+            &shed,
+            classes,
+            &paging,
+            wall,
+            Vec::new(),
+        );
         let replicas: Vec<ReplicaReport> = retired
             .into_iter()
             .map(|r| ReplicaReport {
@@ -152,12 +107,12 @@ impl ClusterReport {
         Self {
             balancer,
             issued: replicas.iter().map(|r| r.routed).sum(),
-            completed: replicas.iter().map(|r| r.report.completed).sum(),
-            shed: replicas.iter().map(|r| r.report.shed).sum(),
+            completed: fleet.completed,
+            shed: fleet.shed,
             wall,
-            latency: LatencySummary::from_samples(all_latencies),
-            classes: class_stats,
-            models: model_stats,
+            latency: fleet.latency,
+            classes: fleet.classes,
+            models: fleet.models,
             replicas,
             scale_events,
         }
@@ -279,31 +234,9 @@ impl ClusterReport {
         self.models.iter().map(ModelStats::summary_line).collect()
     }
 
-    /// One line per class, aggregated fleet-wide.
+    /// One line per class, aggregated fleet-wide (same
+    /// [`ClassStats::summary_line`] format as single-server reports).
     pub fn class_summary(&self) -> Vec<String> {
-        self.classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
-                    c.class,
-                    c.name,
-                    c.completed,
-                    c.shed,
-                    c.shed_rate() * 100.0,
-                    c.hit_rate() * 100.0,
-                    c.latency.p50_s * 1e3,
-                    c.latency.p99_s * 1e3,
-                )
-            })
-            .collect()
+        self.classes.iter().map(ClassStats::summary_line).collect()
     }
-}
-
-fn per_second(count: usize, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    count as f64 / secs
 }

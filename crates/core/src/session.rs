@@ -21,7 +21,7 @@ use crate::backend::{AutoPlanner, Backend, KernelBackend, KernelRegistry};
 use crate::planner::{ExecutionConfig, ExecutionPlanner, WeightExecution};
 use crate::pruner::PrunedModel;
 use crate::tile_matrix::TileWiseMatrix;
-use tw_gpu_sim::{Calibration, CoreKind, CostModel, GpuDevice, RunCounters, StreamSim};
+use tw_gpu_sim::{Calibration, CoreKind, CostModel, GpuDevice, RunCounters};
 use tw_models::{ModelKind, PrunableGemm, Workload};
 use tw_tensor::Matrix;
 
@@ -334,20 +334,6 @@ impl InferenceSession {
         assert!(max_batch > 0, "dwell model needs at least batch size 1");
         DwellModel { seconds: (1..=max_batch).map(|b| self.simulated_batch_seconds(b)).collect() }
     }
-
-    /// The modelled win of dynamic batching itself: device time of
-    /// `batch_size` *independent* single-request forward passes overlapped
-    /// across `streams` CUDA streams, divided by the device time of the same
-    /// requests fused into one batched kernel sequence.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero (delegated from the stream scheduler)
-    /// or `streams` is zero.
-    pub fn batching_speedup(&self, batch_size: usize, streams: usize) -> f64 {
-        let single = self.plan_batch(1).total_time();
-        let unbatched = StreamSim::new(streams).schedule_uniform(single, batch_size).makespan();
-        unbatched / self.simulated_batch_seconds(batch_size)
-    }
 }
 
 /// A precomputed table of simulated device seconds per batch size, built by
@@ -548,17 +534,6 @@ mod tests {
         let names: Vec<&str> = run.kernels().iter().map(|k| k.name.as_str()).collect();
         assert!(names.iter().any(|n| n.contains("bsr")), "missing bsr kernel in {names:?}");
         assert!(names.iter().any(|n| n.contains("csr")), "missing csr kernel in {names:?}");
-    }
-
-    #[test]
-    fn batching_beats_streamed_singles() {
-        // Fusing 16 requests into one batched kernel sequence must beat 16
-        // independent single-request passes, even when the singles overlap
-        // across the V100's streams — kernel-launch overhead and wave
-        // quantization dominate tiny GEMMs.
-        let s = session(Backend::TileWise);
-        let speedup = s.batching_speedup(16, 4);
-        assert!(speedup > 1.0, "batching speedup {speedup}");
     }
 
     #[test]

@@ -84,28 +84,6 @@ impl StreamSim {
         }
         StreamSchedule { per_stream_time, assignment }
     }
-
-    /// Prices one *batch* of independent, identical kernels — the serving
-    /// runtime's use case, where a dynamic batcher groups `count` forward
-    /// passes of `duration` seconds each and the device overlaps them across
-    /// streams.  Equivalent to [`StreamSim::schedule`] with a uniform
-    /// duration vector, but without allocating it.
-    ///
-    /// # Panics
-    /// Panics if `duration` is negative or NaN.
-    pub fn schedule_uniform(&self, duration: f64, count: usize) -> StreamSchedule {
-        assert!(duration >= 0.0, "kernel duration must be non-negative");
-        if count == 0 {
-            return StreamSchedule { per_stream_time: Vec::new(), assignment: Vec::new() };
-        }
-        let streams = self.num_streams.min(count);
-        // Round-robin is optimal for identical durations: stream s receives
-        // ceil((count - s) / streams) kernels.
-        let per_stream_time: Vec<f64> =
-            (0..streams).map(|s| duration * (count - s).div_ceil(streams) as f64).collect();
-        let assignment: Vec<usize> = (0..count).map(|i| i % streams).collect();
-        StreamSchedule { per_stream_time, assignment }
-    }
 }
 
 #[cfg(test)]
@@ -181,41 +159,5 @@ mod tests {
         assert!(sched.assignment.iter().all(|&s| s < 3));
         // Per-stream sums reconstruct total work.
         assert!((sched.total_work() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_batch_matches_general_scheduler() {
-        for (streams, count) in [(1, 5), (4, 8), (4, 9), (8, 3), (32, 100)] {
-            let sim = StreamSim::new(streams);
-            let uniform = sim.schedule_uniform(0.25, count);
-            let general = sim.schedule(&vec![0.25; count]);
-            assert!(
-                (uniform.makespan() - general.makespan()).abs() < 1e-12,
-                "streams {streams} count {count}"
-            );
-            assert!((uniform.total_work() - general.total_work()).abs() < 1e-9);
-            assert_eq!(uniform.assignment.len(), count);
-        }
-    }
-
-    #[test]
-    fn uniform_batch_scales_down_with_streams() {
-        // Batching 16 identical forward passes over more streams shrinks the
-        // priced latency until the stream count reaches the batch size.
-        let mut last = f64::INFINITY;
-        for streams in [1, 2, 4, 8, 16, 32] {
-            let m = StreamSim::new(streams).schedule_uniform(1.0, 16).makespan();
-            assert!(m <= last + 1e-12);
-            last = m;
-        }
-        assert!((StreamSim::new(16).schedule_uniform(1.0, 16).makespan() - 1.0).abs() < 1e-12);
-        assert!((StreamSim::new(32).schedule_uniform(1.0, 16).makespan() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn uniform_empty_batch() {
-        let sched = StreamSim::new(4).schedule_uniform(1.0, 0);
-        assert_eq!(sched.makespan(), 0.0);
-        assert!(sched.assignment.is_empty());
     }
 }

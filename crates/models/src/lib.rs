@@ -23,7 +23,8 @@
 //! * [`traffic`] — open-loop traffic schedules: pluggable arrival processes
 //!   (Poisson, bursty ON/OFF, heavy-tailed Pareto) over mixed request
 //!   classes (interactive vs. batch), rendered deterministically so every
-//!   serving scenario replays from its seed.
+//!   serving scenario replays from its seed, and [`pace`], the loop that
+//!   replays a schedule on the wall clock.
 
 pub mod accuracy;
 pub mod mlp;
@@ -36,5 +37,5 @@ pub use accuracy::{AccuracyModel, TaskKind};
 pub use mlp::{MlpClassifier, MlpTrainConfig, SyntheticClassification};
 pub use requests::RequestGenerator;
 pub use synthetic::{SyntheticModel, SyntheticModelConfig};
-pub use traffic::{Arrival, ArrivalProcess, TrafficClass, TrafficSpec};
+pub use traffic::{pace, Arrival, ArrivalProcess, TrafficClass, TrafficSpec};
 pub use workload::{AuxOp, FixedGemm, ModelKind, PrunableGemm, Workload};

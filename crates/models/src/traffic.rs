@@ -1,11 +1,11 @@
 //! Open-loop traffic generation: arrival processes and request-class mixes.
 //!
-//! The closed-loop harness in `tw-serve` measures peak throughput, but a
-//! production tier lives under *open-loop* load: requests arrive on their
-//! own clock, whether or not the server keeps up.  This module generates
-//! deterministic open-loop traffic schedules — each [`Arrival`] is an offset
-//! from the start of the run, a request class, and a payload — under three
-//! pluggable arrival processes:
+//! A closed loop (every request at offset zero, see [`Arrival::closed_loop`])
+//! measures peak throughput, but a production tier lives under *open-loop*
+//! load: requests arrive on their own clock, whether or not the server
+//! keeps up.  This module generates deterministic open-loop traffic
+//! schedules — each [`Arrival`] is an offset from the start of the run, a
+//! request class, and a payload — under three pluggable arrival processes:
 //!
 //! * [`ArrivalProcess::Poisson`] — memoryless steady load (exponential
 //!   inter-arrival gaps), the classic M/G/k driver.
@@ -22,12 +22,14 @@
 //! A [`TrafficSpec`] pairs a process with a [`TrafficClass`] mix (for
 //! example latency-sensitive *interactive* requests vs. best-effort *batch*
 //! requests) and renders the whole run up front via [`TrafficSpec::schedule`],
-//! so every scenario is replayable from its seed.
+//! so every scenario is replayable from its seed.  [`pace`] is the one loop
+//! that replays a schedule on the wall clock; `tw-serve`'s `Server::replay`
+//! and `tw-cluster`'s `Cluster::replay` both submit through it.
 
 use crate::requests::RequestGenerator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One scheduled request of an open-loop run.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,6 +40,35 @@ pub struct Arrival {
     pub class: usize,
     /// Request payload (length = the served model's input dim).
     pub payload: Vec<f32>,
+}
+
+impl Arrival {
+    /// The closed-loop schedule: every payload arrives at offset zero in
+    /// class 0, so a replay submits them back to back and only the server's
+    /// backpressure paces it.
+    pub fn closed_loop(payloads: Vec<Vec<f32>>) -> Vec<Arrival> {
+        payloads
+            .into_iter()
+            .map(|payload| Arrival { at: Duration::ZERO, class: 0, payload })
+            .collect()
+    }
+}
+
+/// Replays `schedule` on the calling thread: sleeps until each arrival's
+/// offset from the call, then hands `submit` the arrival's index and the
+/// arrival, in schedule order.  An arrival whose offset has already passed
+/// (a zero offset, or a `submit` that blocked) is handed over at once, so a
+/// slow consumer makes later arrivals late, never early.
+pub fn pace(schedule: &[Arrival], mut submit: impl FnMut(usize, &Arrival)) {
+    let started = Instant::now();
+    for (index, arrival) in schedule.iter().enumerate() {
+        let now = Instant::now();
+        let due = started + arrival.at;
+        if due > now {
+            std::thread::sleep(due - now);
+        }
+        submit(index, arrival);
+    }
 }
 
 /// The inter-arrival law of an open-loop source.
@@ -326,6 +357,31 @@ mod tests {
         assert_eq!(a.len(), 200);
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at), "offsets must be non-decreasing");
         assert!(a.iter().all(|x| x.payload.len() == 16));
+    }
+
+    #[test]
+    fn pace_hands_over_in_order_and_never_early() {
+        let offsets_ms = [0, 0, 3, 3, 8, 15];
+        let schedule: Vec<Arrival> = offsets_ms
+            .iter()
+            .map(|&ms| Arrival { at: Duration::from_millis(ms), class: 0, payload: Vec::new() })
+            .collect();
+        let started = Instant::now();
+        let mut seen = Vec::new();
+        pace(&schedule, |index, arrival| {
+            assert!(started.elapsed() >= arrival.at, "arrival {index} handed over early");
+            assert_eq!(arrival, &schedule[index]);
+            seen.push(index);
+        });
+        assert_eq!(seen, (0..schedule.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn closed_loop_schedule_is_all_at_offset_zero() {
+        let schedule = Arrival::closed_loop(vec![vec![1.0], vec![2.0]]);
+        assert_eq!(schedule.len(), 2);
+        assert!(schedule.iter().all(|a| a.at == Duration::ZERO && a.class == 0));
+        assert_eq!(schedule[1].payload, vec![2.0]);
     }
 
     #[test]

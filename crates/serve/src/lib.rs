@@ -35,11 +35,14 @@
 //!   throughput, *goodput* (completions within SLO), shed rates, batch-size
 //!   and per-worker counters, plus the per-layer backend plan.
 //!
-//! The [`Server`] ties these together; [`serve_closed_loop`] submits a
-//! fixed payload list under blocking backpressure (peak-throughput
-//! benchmarks), while [`serve_open_loop`] replays a `tw-models`
-//! [`Arrival`] schedule on its own clock (traffic scenarios: steady,
-//! bursty, heavy-tailed, mixed-priority).
+//! The [`Server`] ties these together.  [`Server::replay`] submits a
+//! `tw-models` [`Arrival`] schedule on its own clock (traffic scenarios:
+//! steady, bursty, heavy-tailed, mixed-priority); a closed loop is the same
+//! call on [`Arrival::closed_loop`], whose offsets are all zero, so only
+//! blocking backpressure paces it (peak-throughput benchmarks).
+//! [`Server::shutdown`] builds the report with
+//! [`ServeReport::from_observations`], the same builder the cluster layer
+//! aggregates a fleet with.
 //!
 //! Everything is deterministic except scheduling: responses carry request
 //! ids, and the batched sparse outputs equal per-request dense inference
@@ -67,8 +70,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 use tilewise::{DwellModel, InferenceSession};
 use tw_gpu_sim::TransferCost;
-use tw_memory::{CacheStats, MemoryPool, ModelRegistry, TileCache};
-use tw_models::Arrival;
+use tw_memory::{MemoryPool, ModelPagingStats, ModelRegistry, TileCache};
+use tw_models::{pace, Arrival};
 
 /// Outcome of one [`Server::submit_to`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,16 +205,6 @@ impl Server {
         &self.models[0].session
     }
 
-    /// Number of hosted models.
-    pub fn num_models(&self) -> usize {
-        self.models.len()
-    }
-
-    /// The hosted model names (`name@vN`), in [`ModelId`] order.
-    pub fn model_names(&self) -> Vec<String> {
-        self.models.iter().map(|m| m.name.clone()).collect()
-    }
-
     /// Fraction of `model`'s weight bytes currently resident in VRAM — the
     /// *warmth* probe residency-aware cluster routing ranks replicas by.
     /// `1.0` when memory management is off (everything is always resident).
@@ -224,22 +217,6 @@ impl Server {
             Some(cache) => cache.lock().expect("tile cache poisoned").resident_fraction(tiles),
             None => 1.0,
         }
-    }
-
-    /// Snapshot of the tile cache's lifetime counters; `None` when memory
-    /// management is off.
-    pub fn memory_stats(&self) -> Option<CacheStats> {
-        self.memory.as_ref().map(|cache| cache.lock().expect("tile cache poisoned").stats())
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// The configured request classes, in priority order.
-    pub fn classes(&self) -> &[ClassPolicy] {
-        &self.classes
     }
 
     /// Submits one request of the default class (0), blocking while the
@@ -325,6 +302,31 @@ impl Server {
         }
     }
 
+    /// Replays `schedule` on its own clock ([`tw_models::pace`]): arrival
+    /// `i` is submitted at its offset from this call, for model
+    /// `assignment[i % assignment.len()]` (`&[0]` serves the default model
+    /// only; `&[0, 1]` alternates two).
+    ///
+    /// With admission control active submission never blocks, so the
+    /// arrival clock is honoured and refused arrivals land in the shed log.
+    /// With it inactive a full queue blocks the replay (backpressure) and
+    /// arrivals behind the stall come late; that is the closed loop when
+    /// every offset is zero ([`Arrival::closed_loop`]).  Size
+    /// `queue_capacity` for the offered load, or activate admission, when
+    /// the clock must be honoured under overload.
+    ///
+    /// # Panics
+    /// Panics on an empty `assignment`, on arrivals whose class, model or
+    /// payload does not fit the server, or once shutdown has begun.
+    pub fn replay(&self, schedule: &[Arrival], assignment: &[ModelId]) {
+        assert!(!assignment.is_empty(), "model assignment cannot be empty");
+        pace(schedule, |index, arrival| {
+            let model = assignment[index % assignment.len()];
+            self.submit_model(model, arrival.class, arrival.payload.clone())
+                .expect("replay submits before shutdown");
+        });
+    }
+
     fn record_shed(&self, id: u64, class: ClassId, reason: ShedReason) -> ShedRecord {
         let record = ShedRecord { id, class, reason };
         self.shed.lock().expect("shed log poisoned").push(record);
@@ -341,36 +343,16 @@ impl Server {
         self.queue.len()
     }
 
-    /// `(total queue depth, depth ahead of a new arrival of `class`)` under
-    /// one lock — the routing probe a multi-replica load balancer polls.
-    /// The second component counts the backlog in lanes of the same or
-    /// higher priority, which under strict priority is what the arrival
-    /// would actually wait behind.
+    /// The routing snapshot a multi-replica load balancer polls, with the
+    /// queue lock taken once: `(total queue depth, depth ahead of a new
+    /// `class` arrival, predicted wait for that backlog)`.
     ///
-    /// # Panics
-    /// Panics if `class` is out of range.
-    pub fn class_depths(&self, class: ClassId) -> (usize, usize) {
-        self.queue.depths(class)
-    }
-
-    /// Cost-model-predicted wall-clock wait a new `class` arrival would
-    /// face behind the current backlog, priced by the session's
-    /// [`tilewise::DwellModel`] and this server's batch size, worker count
-    /// and dwell scale.  Zero when the server dwells no simulated device
-    /// time (the prediction has nothing to price).  This is the probe the
-    /// cluster layer's cost-aware balancer ranks replicas with.
-    ///
-    /// # Panics
-    /// Panics if `class` is out of range.
-    pub fn predicted_wait(&self, class: ClassId) -> std::time::Duration {
-        self.routing_probe(class).2
-    }
-
-    /// The whole routing snapshot — `(total depth, depth ahead of a new
-    /// `class` arrival, predicted wait for that backlog)` — with the queue
-    /// lock taken once.  A cluster router polls every replica per
-    /// submission, so this is the hot-path form of
-    /// [`Server::class_depths`] + [`Server::predicted_wait`].
+    /// * The depth ahead counts the backlog in lanes of the same or higher
+    ///   priority, which under strict priority is what the arrival would
+    ///   actually wait behind.
+    /// * The wait is priced by the session's [`tilewise::DwellModel`] and
+    ///   this server's batch size, worker count and dwell scale; it is zero
+    ///   when the server dwells no simulated device time.
     ///
     /// # Panics
     /// Panics if `class` is out of range.
@@ -430,63 +412,44 @@ impl Server {
         // Step 4: the report covers the whole run.
         let mut observations = self.drained.into_inner().expect("observation log poisoned");
         observations.extend(responses.iter().map(RunObservation::of));
-        let shed = self.shed.into_inner().expect("shed log poisoned");
+        let mut shed = vec![0; self.classes.len()];
+        for record in self.shed.into_inner().expect("shed log poisoned") {
+            shed[record.class] += 1;
+        }
         let admitted = self.admitted.load(Ordering::Relaxed) as usize;
         assert_eq!(
             observations.len(),
             admitted,
             "every admitted request must complete exactly once"
         );
+        // Per-model cold-start rows, whenever paging or multi-tenancy is in
+        // play (a single model without memory management gets none).
+        let models: Vec<(String, ModelPagingStats)> =
+            if self.memory.is_some() || self.models.len() > 1 {
+                let paging = self
+                    .memory
+                    .as_ref()
+                    .map(|cache| cache.lock().expect("tile cache poisoned").model_stats().clone())
+                    .unwrap_or_default();
+                self.models
+                    .iter()
+                    .enumerate()
+                    .map(|(id, m)| (m.name.clone(), paging.get(&id).cloned().unwrap_or_default()))
+                    .collect()
+            } else {
+                Vec::new()
+            };
         let backend_plan =
             self.models[0].session.layer_backends().iter().map(|name| name.to_string()).collect();
-        let mut report = ServeReport::from_observations(
+        let report = ServeReport::from_observations(
             &observations,
             &shed,
             &self.classes,
+            &models,
             self.started.elapsed(),
             worker_stats,
         )
         .with_backend_plan(backend_plan);
-        // Per-model cold-start rows, whenever paging or multi-tenancy is in
-        // play (single-model no-memory reports keep the legacy shape).
-        if self.memory.is_some() || self.models.len() > 1 {
-            let paging = self
-                .memory
-                .as_ref()
-                .map(|cache| cache.lock().expect("tile cache poisoned").model_stats().clone())
-                .unwrap_or_default();
-            let model_stats = self
-                .models
-                .iter()
-                .enumerate()
-                .map(|(id, runtime)| {
-                    let warm: Vec<f64> = observations
-                        .iter()
-                        .filter(|o| o.model == id && !o.cold)
-                        .map(|o| o.latency_s)
-                        .collect();
-                    let cold: Vec<f64> = observations
-                        .iter()
-                        .filter(|o| o.model == id && o.cold)
-                        .map(|o| o.latency_s)
-                        .collect();
-                    let paged = paging.get(&id).cloned().unwrap_or_default();
-                    ModelStats {
-                        model: id,
-                        name: runtime.name.clone(),
-                        completed: warm.len() + cold.len(),
-                        cold: cold.len(),
-                        warm_latency: LatencySummary::from_samples(warm),
-                        cold_latency: LatencySummary::from_samples(cold),
-                        tile_hits: paged.hits,
-                        tile_misses: paged.misses,
-                        bytes_paged: paged.bytes_transferred,
-                        transfer_sim_s: paged.transfer_seconds,
-                    }
-                })
-                .collect();
-            report = report.with_model_stats(model_stats);
-        }
         (report, responses)
     }
 }
@@ -514,112 +477,6 @@ impl std::fmt::Display for ServerClosed {
 
 impl std::error::Error for ServerClosed {}
 
-/// Closed-loop harness: submit every payload (blocking on backpressure),
-/// then shut down and report.  This is what the peak-throughput benchmark
-/// and the example drive.
-pub fn serve_closed_loop(
-    session: Arc<InferenceSession>,
-    config: ServeConfig,
-    payloads: Vec<Vec<f32>>,
-) -> (ServeReport, Vec<InferenceResponse>) {
-    let server = Server::start(session, config);
-    for payload in payloads {
-        server.submit(payload).expect("closed-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// Open-loop harness: replay a `tw-models` traffic schedule on its own
-/// clock — each [`Arrival`] is submitted at its offset from the start of
-/// the run — then shut down and report.  Requests refused by admission
-/// control appear in the report's shed accounting; the submission loop
-/// never blocks on them.
-///
-/// The open-loop contract holds exactly when admission control is active
-/// (submission then never blocks).  With admission *inactive*, a full
-/// queue falls back to blocking backpressure ([`Server::submit_to`]'s
-/// documented behavior), and arrivals behind the stall slip later than
-/// their scheduled offsets — so size `queue_capacity` for the offered
-/// load, or activate admission, when the arrival clock must be honored
-/// under overload.
-///
-/// # Panics
-/// Panics if an arrival's class is outside the configured class list or a
-/// payload does not match the model's input dim.
-pub fn serve_open_loop(
-    session: Arc<InferenceSession>,
-    config: ServeConfig,
-    schedule: &[Arrival],
-) -> (ServeReport, Vec<InferenceResponse>) {
-    let server = Server::start(session, config);
-    let started = Instant::now();
-    for arrival in schedule {
-        let target = started + arrival.at;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        server
-            .submit_to(arrival.class, arrival.payload.clone())
-            .expect("open-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// [`serve_closed_loop`] over a multi-model registry: payload `i` targets
-/// `assignment[i % assignment.len()]` under blocking backpressure.  The
-/// same backpressure contract as the single-model harness applies.
-///
-/// # Panics
-/// Panics on an empty assignment, or payloads/models that do not fit the
-/// registry (see [`Server::submit_model`]).
-pub fn serve_closed_loop_models(
-    registry: ModelRegistry,
-    config: ServeConfig,
-    payloads: Vec<Vec<f32>>,
-    assignment: &[ModelId],
-) -> (ServeReport, Vec<InferenceResponse>) {
-    assert!(!assignment.is_empty(), "model assignment cannot be empty");
-    let server = Server::start_registry(registry, config);
-    for (i, payload) in payloads.into_iter().enumerate() {
-        server
-            .submit_model(assignment[i % assignment.len()], 0, payload)
-            .expect("closed-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
-/// [`serve_open_loop`] over a multi-model registry: arrival `i` targets
-/// `assignment[i % assignment.len()]` at its scheduled offset.  The same
-/// arrival-clock caveat as the single-model harness applies: activate
-/// admission control, or size `queue_capacity` for the offered load, when
-/// the clock must be honored under overload.
-///
-/// # Panics
-/// Panics on an empty assignment, or arrivals whose class, model or
-/// payload does not fit the config.
-pub fn serve_open_loop_models(
-    registry: ModelRegistry,
-    config: ServeConfig,
-    schedule: &[Arrival],
-    assignment: &[ModelId],
-) -> (ServeReport, Vec<InferenceResponse>) {
-    assert!(!assignment.is_empty(), "model assignment cannot be empty");
-    let server = Server::start_registry(registry, config);
-    let started = Instant::now();
-    for (i, arrival) in schedule.iter().enumerate() {
-        let target = started + arrival.at;
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        server
-            .submit_model(assignment[i % assignment.len()], arrival.class, arrival.payload.clone())
-            .expect("open-loop submit before shutdown");
-    }
-    server.shutdown()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,12 +499,21 @@ mod tests {
         }
     }
 
+    /// Starts a server, replays `schedule` against model 0, shuts down.
+    fn replay(config: ServeConfig, schedule: &[Arrival]) -> (ServeReport, Vec<InferenceResponse>) {
+        let server = Server::start(session(Backend::TileWise), config);
+        server.replay(schedule, &[0]);
+        server.shutdown()
+    }
+
     #[test]
     fn closed_loop_serves_every_request_exactly_once() {
+        // The closed loop is a replay whose offsets are all zero: with
+        // admission off and a queue (64) smaller than the run, submissions
+        // block on backpressure instead of shedding.
         let mut generator = RequestGenerator::new(24, 1.0, 5);
-        let payloads = generator.payloads(100);
-        let (report, responses) =
-            serve_closed_loop(session(Backend::TileWise), quick_config(2), payloads);
+        let schedule = Arrival::closed_loop(generator.payloads(100));
+        let (report, responses) = replay(quick_config(2), &schedule);
         assert_eq!(report.completed, 100);
         assert_eq!(report.shed, 0);
         let mut ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
@@ -666,6 +532,19 @@ mod tests {
         assert_eq!(report.classes.len(), 1);
         assert_eq!(report.classes[0].completed, 100);
         assert_eq!(report.classes[0].good, 100);
+    }
+
+    #[test]
+    fn replay_routes_each_arrival_to_its_assigned_model() {
+        let mut registry = ModelRegistry::new();
+        registry.register("a", 1, session(Backend::Dense));
+        registry.register("b", 1, session(Backend::TileWise));
+        let server = Server::start_registry(registry, quick_config(1));
+        server.replay(&Arrival::closed_loop(vec![vec![0.5; 24]; 12]), &[0, 0, 1]);
+        let (report, responses) = server.shutdown();
+        let completed: Vec<usize> = report.models.iter().map(|m| m.completed).collect();
+        assert_eq!(completed, vec![8, 4], "arrival i goes to assignment[i % 3]");
+        assert!(responses.iter().all(|r| r.model == usize::from(r.id % 3 == 2)));
     }
 
     #[test]
@@ -735,14 +614,14 @@ mod tests {
         for _ in 0..40 {
             server.submit_to(1, vec![0.1; 24]).unwrap();
         }
-        let (total, batch_ahead) = server.class_depths(1);
-        let (_, interactive_ahead) = server.class_depths(0);
+        let (total, batch_ahead, batch_wait) = server.routing_probe(1);
+        let (_, interactive_ahead, interactive_wait) = server.routing_probe(0);
         assert!(total >= 30, "backlog should be visible, saw {total}");
         assert!(interactive_ahead < batch_ahead, "interactive lane jumps the batch wall");
         // The cost-aware probe prices the backlog: a batch-lane arrival
         // waits behind full batches, an interactive arrival behind none.
-        assert!(server.predicted_wait(1) > Duration::ZERO);
-        assert_eq!(server.predicted_wait(0), Duration::ZERO);
+        assert!(batch_wait > Duration::ZERO);
+        assert_eq!(interactive_wait, Duration::ZERO);
         assert_eq!(server.admitted_so_far(), 40);
         let (report, _) = server.shutdown();
         assert_eq!(report.completed, 40);
@@ -763,9 +642,9 @@ mod tests {
             gpu_dwell: Some(GpuDwell { time_scale: 2e3 }),
             ..ServeConfig::default()
         };
-        let (one, _) =
-            serve_closed_loop(session(Backend::TileWise), dwell_cfg(1), payloads.clone());
-        let (four, _) = serve_closed_loop(session(Backend::TileWise), dwell_cfg(4), payloads);
+        let schedule = Arrival::closed_loop(payloads);
+        let (one, _) = replay(dwell_cfg(1), &schedule);
+        let (four, _) = replay(dwell_cfg(4), &schedule);
         assert_eq!(one.completed, 64);
         assert_eq!(four.completed, 64);
         assert!(
@@ -792,7 +671,7 @@ mod tests {
             ..ServeConfig::default()
         }
         .with_traffic_classes(&spec.classes);
-        let (report, responses) = serve_open_loop(session(Backend::TileWise), config, &schedule);
+        let (report, responses) = replay(config, &schedule);
         assert_eq!(report.completed + report.shed, 200, "no submission may vanish");
         assert!(report.shed > 0, "overload must shed under a depth bound of 8");
         assert!(report.completed > 0, "admitted requests must still be served");

@@ -1,8 +1,9 @@
 //! Latency, throughput, goodput and shed accounting — overall and per class.
 
 use crate::config::ClassPolicy;
-use crate::request::{InferenceResponse, ShedRecord};
+use crate::request::InferenceResponse;
 use std::time::Duration;
+use tw_memory::ModelPagingStats;
 
 /// Order statistics over a set of request latencies.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -76,10 +77,11 @@ pub struct WorkerStats {
     pub cold_batches: usize,
 }
 
-/// One completed request's contribution to the report: its class, latency,
-/// and whether it beat its deadline.  The server keeps these (not whole
-/// responses) for results already streamed out mid-run, so the final report
-/// still covers the entire run.
+/// One completed request's contribution to the report: its class, model,
+/// latency, and whether it beat its deadline.  Reports are built from these
+/// rather than whole responses: the server keeps them for results already
+/// streamed out mid-run, and a drained cluster replica keeps them in place
+/// of its outputs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunObservation {
     /// Class of the completed request.
@@ -108,7 +110,7 @@ impl RunObservation {
 }
 
 /// Per-class outcome breakdown.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassStats {
     /// Class id (index into the server's class list = priority).
     pub class: usize,
@@ -147,13 +149,29 @@ impl ClassStats {
         }
         self.good as f64 / self.completed as f64
     }
+
+    /// The one-line view of this class — shared by the single-server and
+    /// cluster report printers so the two cannot drift.
+    pub fn summary_line(&self) -> String {
+        format!(
+            "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
+            self.class,
+            self.name,
+            self.completed,
+            self.shed,
+            self.shed_rate() * 100.0,
+            self.hit_rate() * 100.0,
+            self.latency.p50_s * 1e3,
+            self.latency.p99_s * 1e3,
+        )
+    }
 }
 
 /// Per-model outcome breakdown: the cold-start story.  A request is *cold*
 /// when its batch had to page weight tiles in over PCIe; the split
 /// latency summaries make cold-start vs warm latency directly visible, and
 /// the tile counters quantify the paging traffic behind it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelStats {
     /// Model id (index into the server's registry).
     pub model: usize,
@@ -226,8 +244,7 @@ pub struct ServeReport {
     pub wall: Duration,
     /// Latency order statistics over all completions.
     pub latency: LatencySummary,
-    /// Per-class breakdowns, in class (= priority) order.  Empty for
-    /// reports built from bare latency samples.
+    /// Per-class breakdowns, in class (= priority) order.
     pub classes: Vec<ClassStats>,
     /// Total batches executed across workers.
     pub batches: usize,
@@ -241,7 +258,7 @@ pub struct ServeReport {
     /// Total bytes paged host→device across all batches.
     pub bytes_paged: u64,
     /// Per-model breakdowns, in registry order.  Empty for single-model
-    /// reports without memory management (the legacy shape).
+    /// reports without memory management.
     pub models: Vec<ModelStats>,
     /// Resolved kernel family of each served layer, in layer order (empty
     /// when the report was built without a session, e.g. in unit tests).
@@ -249,85 +266,96 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds a report from collected responses and worker counters.
-    pub fn new(responses: &[InferenceResponse], wall: Duration, workers: Vec<WorkerStats>) -> Self {
-        let samples: Vec<f64> = responses.iter().map(|r| r.latency.as_secs_f64()).collect();
-        Self::from_latencies(samples, wall, workers)
-    }
-
-    /// Builds a class-blind report from raw latency samples (seconds) and
-    /// worker counters.
-    pub fn from_latencies(
-        latencies_s: Vec<f64>,
-        wall: Duration,
-        workers: Vec<WorkerStats>,
-    ) -> Self {
-        let batches = workers.iter().map(|w| w.batches).sum();
-        let sim_gpu_s = workers.iter().map(|w| w.sim_gpu_s).sum();
-        let transfer_sim_s = workers.iter().map(|w| w.transfer_sim_s).sum();
-        let bytes_paged = workers.iter().map(|w| w.bytes_paged).sum();
-        Self {
-            completed: latencies_s.len(),
-            shed: 0,
-            wall,
-            latency: LatencySummary::from_samples(latencies_s),
-            classes: Vec::new(),
-            batches,
-            workers,
-            sim_gpu_s,
-            transfer_sim_s,
-            bytes_paged,
-            models: Vec::new(),
-            backend_plan: Vec::new(),
-        }
-    }
-
-    /// Builds the full per-class report the server emits: one observation
-    /// per completion (streamed-out or final), the shed log, and the class
-    /// policies for naming.
+    /// Builds a run's report from its completions — the one builder behind
+    /// both `Server::shutdown` and the fleet-wide cluster report.
+    ///
+    /// * `observations` — one per completed request, in any order;
+    /// * `shed` — requests refused per class (index = class id);
+    /// * `classes` — the class policies, for naming;
+    /// * `models` — each hosted model's name and tile-cache counters, in
+    ///   model id order; empty gives no per-model rows;
+    /// * `workers` — per-worker counters, summed into the batch, device and
+    ///   paging totals.
+    ///
+    /// The overall, per-class and per-model latency samples are all gathered
+    /// in one pass over `observations`.
+    ///
+    /// # Panics
+    /// Panics if `shed` and `classes` differ in length.
     pub fn from_observations(
         observations: &[RunObservation],
-        shed: &[ShedRecord],
+        shed: &[usize],
         classes: &[ClassPolicy],
+        models: &[(String, ModelPagingStats)],
         wall: Duration,
         workers: Vec<WorkerStats>,
     ) -> Self {
-        let class_stats: Vec<ClassStats> = classes
+        assert_eq!(shed.len(), classes.len(), "one shed count per class");
+        let mut all = Vec::with_capacity(observations.len());
+        // Per class: latency samples and goodput count.  Per model: warm and
+        // cold latency samples.
+        let mut by_class: Vec<(Vec<f64>, usize)> = vec![(Vec::new(), 0); classes.len()];
+        let mut by_model: Vec<[Vec<f64>; 2]> = vec![[Vec::new(), Vec::new()]; models.len()];
+        for o in observations {
+            all.push(o.latency_s);
+            if let Some((samples, good)) = by_class.get_mut(o.class) {
+                samples.push(o.latency_s);
+                *good += usize::from(o.deadline_met != Some(false));
+            }
+            if let Some(split) = by_model.get_mut(o.model) {
+                split[usize::from(o.cold)].push(o.latency_s);
+            }
+        }
+        let class_stats = classes
             .iter()
+            .zip(by_class)
+            .zip(shed)
             .enumerate()
-            .map(|(id, policy)| {
-                let samples: Vec<f64> =
-                    observations.iter().filter(|o| o.class == id).map(|o| o.latency_s).collect();
-                let good = observations
-                    .iter()
-                    .filter(|o| o.class == id && o.deadline_met != Some(false))
-                    .count();
-                ClassStats {
-                    class: id,
-                    name: policy.name.clone(),
-                    completed: samples.len(),
-                    shed: shed.iter().filter(|s| s.class == id).count(),
-                    good,
-                    latency: LatencySummary::from_samples(samples),
-                }
+            .map(|(class, ((policy, (samples, good)), &shed))| ClassStats {
+                class,
+                name: policy.name.clone(),
+                completed: samples.len(),
+                shed,
+                good,
+                latency: LatencySummary::from_samples(samples),
             })
             .collect();
-        let all: Vec<f64> = observations.iter().map(|o| o.latency_s).collect();
-        let mut report = Self::from_latencies(all, wall, workers);
-        report.shed = shed.len();
-        report.classes = class_stats;
-        report
+        let model_stats = models
+            .iter()
+            .zip(by_model)
+            .enumerate()
+            .map(|(model, ((name, paging), [warm, cold]))| ModelStats {
+                model,
+                name: name.clone(),
+                completed: warm.len() + cold.len(),
+                cold: cold.len(),
+                warm_latency: LatencySummary::from_samples(warm),
+                cold_latency: LatencySummary::from_samples(cold),
+                tile_hits: paging.hits,
+                tile_misses: paging.misses,
+                bytes_paged: paging.bytes_transferred,
+                transfer_sim_s: paging.transfer_seconds,
+            })
+            .collect();
+        Self {
+            completed: observations.len(),
+            shed: shed.iter().sum(),
+            wall,
+            latency: LatencySummary::from_samples(all),
+            classes: class_stats,
+            batches: workers.iter().map(|w| w.batches).sum(),
+            sim_gpu_s: workers.iter().map(|w| w.sim_gpu_s).sum(),
+            transfer_sim_s: workers.iter().map(|w| w.transfer_sim_s).sum(),
+            bytes_paged: workers.iter().map(|w| w.bytes_paged).sum(),
+            workers,
+            models: model_stats,
+            backend_plan: Vec::new(),
+        }
     }
 
     /// Attaches the served model's per-layer backend plan to the report.
     pub fn with_backend_plan(mut self, backend_plan: Vec<String>) -> Self {
         self.backend_plan = backend_plan;
-        self
-    }
-
-    /// Attaches per-model breakdowns (multi-model / paging servers).
-    pub fn with_model_stats(mut self, models: Vec<ModelStats>) -> Self {
-        self.models = models;
         self
     }
 
@@ -338,7 +366,7 @@ impl ServeReport {
 
     /// *Useful* completions per wall-clock second: completions within their
     /// class SLO (best-effort completions all count).  Equals throughput
-    /// for class-blind reports.
+    /// for a report without class rows.
     pub fn goodput_rps(&self) -> f64 {
         if self.classes.is_empty() {
             return self.throughput_rps();
@@ -401,22 +429,7 @@ impl ServeReport {
     /// One line per class: completions, sheds, SLO hit rate and latency
     /// percentiles — the per-class view the scenario benchmarks print.
     pub fn class_summary(&self) -> Vec<String> {
-        self.classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "class {} ({}): {} completed, {} shed ({:.1}%), hit rate {:.1}% | p50 {:.2}ms p99 {:.2}ms",
-                    c.class,
-                    c.name,
-                    c.completed,
-                    c.shed,
-                    c.shed_rate() * 100.0,
-                    c.hit_rate() * 100.0,
-                    c.latency.p50_s * 1e3,
-                    c.latency.p99_s * 1e3,
-                )
-            })
-            .collect()
+        self.classes.iter().map(ClassStats::summary_line).collect()
     }
 
     /// One line per model: cold vs warm latency, tile hit rate and paging
@@ -426,7 +439,8 @@ impl ServeReport {
     }
 }
 
-fn per_second(count: usize, wall: Duration) -> f64 {
+/// `count` events over `wall`, per second (0 for an empty span).
+pub fn per_second(count: usize, wall: Duration) -> f64 {
     let secs = wall.as_secs_f64();
     if secs <= 0.0 {
         return 0.0;
@@ -437,7 +451,11 @@ fn per_second(count: usize, wall: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ShedReason;
+
+    /// A completed default-class request on model 0.
+    fn done(latency_s: f64, cold: bool) -> RunObservation {
+        RunObservation { class: 0, model: 0, cold, latency_s, deadline_met: None }
+    }
 
     #[test]
     fn percentiles_on_known_distribution() {
@@ -467,19 +485,8 @@ mod tests {
 
     #[test]
     fn report_aggregates_workers() {
-        let responses: Vec<InferenceResponse> = (0..10)
-            .map(|i| InferenceResponse {
-                id: i,
-                output: vec![0.0],
-                latency: Duration::from_millis(10 + i),
-                batch_size: 5,
-                worker: (i % 2) as usize,
-                class: 0,
-                model: 0,
-                cold: false,
-                deadline_met: None,
-            })
-            .collect();
+        let observations: Vec<RunObservation> =
+            (0..10).map(|i| done(0.010 + 0.001 * i as f64, false)).collect();
         let workers = vec![
             WorkerStats {
                 worker: 0,
@@ -499,13 +506,20 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let report = ServeReport::new(&responses, Duration::from_secs(2), workers)
-            .with_backend_plan(vec!["tile-wise".into(), "csr".into()]);
+        let report = ServeReport::from_observations(
+            &observations,
+            &[],
+            &[],
+            &[],
+            Duration::from_secs(2),
+            workers,
+        )
+        .with_backend_plan(vec!["tile-wise".into(), "csr".into()]);
         assert_eq!(report.completed, 10);
         assert!(report.summary().contains("plan [tile-wise,csr]"));
         assert_eq!(report.batches, 2);
         assert!((report.throughput_rps() - 5.0).abs() < 1e-12);
-        // Class-blind report: goodput falls back to throughput.
+        // No class rows: goodput falls back to throughput.
         assert_eq!(report.goodput_rps(), report.throughput_rps());
         assert!((report.mean_batch_size() - 5.0).abs() < 1e-12);
         assert!((report.sim_gpu_s - 0.75).abs() < 1e-12);
@@ -551,15 +565,11 @@ mod tests {
                 deadline_met: None,
             },
         ];
-        let shed = vec![
-            ShedRecord { id: 10, class: 0, reason: ShedReason::Deadline },
-            ShedRecord { id: 11, class: 1, reason: ShedReason::QueueFull },
-            ShedRecord { id: 12, class: 1, reason: ShedReason::QueueFull },
-        ];
         let report = ServeReport::from_observations(
             &observations,
-            &shed,
+            &[1, 2],
             &classes,
+            &[],
             Duration::from_secs(1),
             Vec::new(),
         );
@@ -613,23 +623,29 @@ mod tests {
 
     #[test]
     fn model_stats_rates_and_summary_lines() {
-        let stats = ModelStats {
-            model: 0,
-            name: "bert".into(),
-            completed: 10,
-            cold: 4,
-            warm_latency: LatencySummary::from_samples(vec![0.002; 6]),
-            cold_latency: LatencySummary::from_samples(vec![0.009; 4]),
-            tile_hits: 90,
-            tile_misses: 10,
-            bytes_paged: 3 << 20,
-            transfer_sim_s: 0.25,
+        let mut observations = vec![done(0.002, false); 6];
+        observations.extend(vec![done(0.009, true); 4]);
+        let paging = ModelPagingStats {
+            hits: 90,
+            misses: 10,
+            bytes_transferred: 3 << 20,
+            transfer_seconds: 0.25,
         };
+        let report = ServeReport::from_observations(
+            &observations,
+            &[],
+            &[],
+            &[("bert".into(), paging)],
+            Duration::from_secs(1),
+            Vec::new(),
+        );
+        let stats = &report.models[0];
+        assert_eq!((stats.completed, stats.cold), (10, 4));
+        assert_eq!(stats.warm_latency, LatencySummary::from_samples(vec![0.002; 6]));
+        assert_eq!(stats.cold_latency, LatencySummary::from_samples(vec![0.009; 4]));
+        assert_eq!(stats.bytes_paged, 3 << 20);
         assert!((stats.tile_hit_rate() - 0.9).abs() < 1e-12);
         assert!((stats.cold_rate() - 0.4).abs() < 1e-12);
-        let report =
-            ServeReport::from_latencies(vec![0.002; 10], Duration::from_secs(1), Vec::new())
-                .with_model_stats(vec![stats]);
         let lines = report.model_summary();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("bert"), "{}", lines[0]);

@@ -174,32 +174,6 @@ pub fn dense_bsr_matmul_par(a: &Matrix, b: &BsrMatrix) -> Matrix {
     Matrix::from_vec(m, n, out)
 }
 
-/// Library-level batched BSR entry point: many per-request activation
-/// matrices against one shared block-sparse weight, `C_i = A_i * B`,
-/// parallel over batch items — the BlockSparse-baseline mirror of
-/// [`dense_csr_matmul_batch`], for callers that keep requests as separate
-/// matrices.  (The serving session instead fuses a batch into one
-/// activation matrix and runs [`dense_bsr_matmul_par`] once.)
-pub fn dense_bsr_matmul_batch(activations: &[&Matrix], b: &BsrMatrix) -> Vec<Matrix> {
-    activations.par_iter().map(|a| dense_bsr_matmul(a, b)).collect()
-}
-
-/// Sparse-times-sparse sanity kernel (CSR x CSR), used only in tests and
-/// analysis; returns a dense result.
-pub fn csr_csr_matmul(a: &CsrMatrix, b: &CsrMatrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-    let m = a.rows();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
-    for (i, p, av) in a.iter() {
-        let (cols, vals) = b.row_entries(p);
-        for (&j, &bv) in cols.iter().zip(vals) {
-            c[(i, j)] += av * bv;
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,26 +228,6 @@ mod tests {
                 "block size {bs}"
             );
         }
-    }
-
-    #[test]
-    fn batched_dense_bsr_matches_individual() {
-        let b_dense = random_sparse(12, 10, 0.35, 21);
-        let b = BsrMatrix::from_dense(&b_dense, 4);
-        let a1 = Matrix::random_uniform(3, 12, 1.0, 22);
-        let a2 = Matrix::random_uniform(7, 12, 1.0, 23);
-        let outs = dense_bsr_matmul_batch(&[&a1, &a2], &b);
-        assert_eq!(outs.len(), 2);
-        assert!(outs[0].approx_eq(&gemm(&a1, &b_dense), DEFAULT_TOL));
-        assert!(outs[1].approx_eq(&gemm(&a2, &b_dense), DEFAULT_TOL));
-    }
-
-    #[test]
-    fn csr_csr_matches_dense_gemm() {
-        let a_dense = random_sparse(6, 8, 0.5, 9);
-        let b_dense = random_sparse(8, 7, 0.5, 10);
-        let c = csr_csr_matmul(&CsrMatrix::from_dense(&a_dense), &CsrMatrix::from_dense(&b_dense));
-        assert!(c.approx_eq(&gemm(&a_dense, &b_dense), DEFAULT_TOL));
     }
 
     #[test]

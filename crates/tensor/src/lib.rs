@@ -23,13 +23,11 @@ pub mod gemm;
 pub mod im2col;
 pub mod matrix;
 pub mod quant;
-pub mod view;
 
 pub use batch::{stack_payloads, stack_rows, unstack_rows};
 pub use gemm::{gemm, gemm_blocked, gemm_masked, gemm_par, GemmShape};
 pub use im2col::{im2col, ConvShape};
 pub use matrix::Matrix;
-pub use view::MatrixView;
 
 /// Tolerance used throughout the workspace when comparing f32 matrices that
 /// were produced by different (but mathematically equivalent) kernels.

@@ -48,7 +48,7 @@ fn main() {
             ClusterConfig { queue_capacity: schedule.len(), balancer, ..ClusterConfig::default() }
                 .with_traffic_classes(&spec.classes);
         let mut cluster = Cluster::start(tiles.clone(), specs.clone(), config);
-        cluster.replay(&schedule);
+        cluster.replay(&schedule, &[0]);
         let report = cluster.shutdown();
 
         println!("{}", report.summary());

@@ -61,13 +61,11 @@ fn main() {
     };
     let server = Server::start_registry(registry, config);
 
-    // Traffic switches model every 32 requests: the first batch after each
-    // switch pages tiles in (cold), the rest run warm.
+    // A closed loop whose traffic switches model every 32 requests: the
+    // first batch after each switch pages tiles in (cold), the rest run warm.
     let mut generator = RequestGenerator::new(dims[0], 1.0, 3);
-    for (i, payload) in generator.payloads(512).into_iter().enumerate() {
-        let model = (i / 32) % 2;
-        server.submit_model(model, 0, payload).expect("submit");
-    }
+    let assignment: Vec<usize> = [0, 1].iter().flat_map(|&model| [model; 32]).collect();
+    server.replay(&Arrival::closed_loop(generator.payloads(512)), &assignment);
     let (report, _) = server.shutdown();
 
     println!("\n{}", report.summary());

@@ -38,10 +38,17 @@ fn main() {
         }
         .with_traffic_classes(&spec.classes);
 
+        // Both passes replay the same schedule on its own clock.
+        let schedule = spec.schedule();
+        let replay = |config: ServeConfig| {
+            let server = Server::start(Arc::clone(&session), config);
+            server.replay(&schedule, &[0]);
+            server.shutdown().0
+        };
+
         // Pass 1: no admission control — everything queues, latency absorbs
         // the overload.
-        let schedule = spec.schedule();
-        let (queued, _) = serve_open_loop(Arc::clone(&session), base.clone(), &schedule);
+        let queued = replay(base.clone());
 
         // Pass 2: SLO-aware admission — shed what cannot meet its deadline
         // or would sit behind a too-deep backlog.
@@ -50,8 +57,7 @@ fn main() {
             shed_hopeless: true,
             ..Default::default()
         };
-        let (shedding, _) =
-            serve_open_loop(Arc::clone(&session), base.with_admission(admission), &schedule);
+        let shedding = replay(base.with_admission(admission));
 
         println!("== {name} | no admission control: {}", queued.summary());
         for line in queued.class_summary() {

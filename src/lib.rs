@@ -59,7 +59,10 @@ pub mod demo {
     }
 }
 
-/// Commonly used types from across the workspace.
+/// Commonly used types from across the workspace.  Traffic enters a
+/// serving stack through one entry point per layer: `Server::replay` and
+/// `Cluster::replay`, both paced by [`tw_models::pace`]; a closed loop is a
+/// replay of [`tw_models::Arrival::closed_loop`].
 pub mod prelude {
     pub use tilewise::{
         AutoPlanner, Backend, ExecutionConfig, InferenceSession, KernelBackend, KernelRegistry,
@@ -75,12 +78,13 @@ pub mod prelude {
         EvictionPolicy, MemoryPool, ModelRegistry, PolicyKind, TileCache, TileKey, WeightTile,
     };
     pub use tw_models::{
-        Arrival, ArrivalProcess, ModelKind, RequestGenerator, TrafficClass, TrafficSpec, Workload,
+        pace, Arrival, ArrivalProcess, ModelKind, RequestGenerator, TrafficClass, TrafficSpec,
+        Workload,
     };
     pub use tw_pruning::{ImportanceScores, PruningPattern, SparsityTarget};
     pub use tw_serve::{
-        serve_closed_loop, serve_open_loop, Admission, AdmissionConfig, ClassPolicy, GpuDwell,
-        MemoryConfig, ServeConfig, ServeReport, Server, ShedReason,
+        Admission, AdmissionConfig, ClassPolicy, GpuDwell, MemoryConfig, ServeConfig, ServeReport,
+        Server, ShedReason,
     };
     pub use tw_sparse::{CscMatrix, CsrMatrix};
     pub use tw_tensor::{gemm, Matrix};

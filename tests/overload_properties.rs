@@ -99,7 +99,9 @@ fn interactive_p99_beats_batch_p99_under_mixed_priority_load() {
         ..ServeConfig::default()
     }
     .with_traffic_classes(&spec.classes);
-    let (report, _) = serve_open_loop(Arc::clone(&session), config, &spec.schedule());
+    let server = Server::start(Arc::clone(&session), config);
+    server.replay(&spec.schedule(), &[0]);
+    let (report, _) = server.shutdown();
 
     assert_eq!(report.completed, 400, "no admission control: everything completes");
     let interactive = &report.classes[0];
@@ -124,6 +126,7 @@ fn priority_scheduling_keeps_steady_goodput_within_ten_percent_of_fifo() {
     let session = tiny_session();
     let mut generator = RequestGenerator::new(24, 1.0, 5);
     let payloads = generator.payloads(600);
+    let schedule = Arrival::closed_loop(payloads.clone());
     let base = ServeConfig {
         workers: 2,
         max_batch_size: 8,
@@ -139,7 +142,9 @@ fn priority_scheduling_keeps_steady_goodput_within_ten_percent_of_fifo() {
     let mut last = (0.0, 0.0, 0.0);
     for _attempt in 0..3 {
         // FIFO reference: the default single best-effort class.
-        let (fifo, _) = serve_closed_loop(Arc::clone(&session), base.clone(), payloads.clone());
+        let fifo_server = Server::start(Arc::clone(&session), base.clone());
+        fifo_server.replay(&schedule, &[0]);
+        let (fifo, _) = fifo_server.shutdown();
 
         // Priority server: same load, everything submitted as the batch
         // class, with a generous interactive lane configured alongside.

@@ -35,6 +35,18 @@ fn pruned_session(seed: u64, backend: Backend) -> Arc<InferenceSession> {
     Arc::new(InferenceSession::from_pruned(&pruned, backend))
 }
 
+/// Serves `payloads` closed-loop (all at offset zero, blocking on
+/// backpressure) on a fresh server for `session`, then shuts it down.
+fn closed_loop(
+    session: Arc<InferenceSession>,
+    config: ServeConfig,
+    payloads: Vec<Vec<f32>>,
+) -> (ServeReport, Vec<tile_wise_repro::serve::InferenceResponse>) {
+    let server = Server::start(session, config);
+    server.replay(&Arrival::closed_loop(payloads), &[0]);
+    server.shutdown()
+}
+
 #[test]
 fn batched_sparse_serving_matches_unbatched_dense_inference() {
     let tw_session = pruned_session(1, Backend::TileWise);
@@ -45,7 +57,7 @@ fn batched_sparse_serving_matches_unbatched_dense_inference() {
     let by_submission: Vec<Vec<f32>> = payloads.clone();
 
     let config = ServeConfig::default().with_workers(3).with_batching(16, Duration::from_millis(1));
-    let (report, responses) = serve_closed_loop(Arc::clone(&tw_session), config, payloads);
+    let (report, responses) = closed_loop(Arc::clone(&tw_session), config, payloads);
 
     assert_eq!(report.completed, 200);
     // Ids are assigned in submission order, so id i corresponds to payload i.
@@ -85,8 +97,7 @@ fn bsr_and_auto_backends_serve_dense_results() {
     let cfg = ServeConfig::default().with_workers(2).with_batching(8, Duration::from_millis(1));
     for backend in [Backend::Bsr, Backend::Auto] {
         let session = pruned_session(3, backend);
-        let (report, responses) =
-            serve_closed_loop(Arc::clone(&session), cfg.clone(), payloads.clone());
+        let (report, responses) = closed_loop(Arc::clone(&session), cfg.clone(), payloads.clone());
         assert_eq!(report.completed, 60, "{backend} lost requests");
         assert_eq!(report.backend_plan.len(), session.num_layers());
         for name in &report.backend_plan {
@@ -113,9 +124,8 @@ fn csr_backend_serves_the_same_results() {
     let mut generator = RequestGenerator::new(tw_session.input_dim(), 1.0, 3);
     let payloads = generator.payloads(40);
     let cfg = ServeConfig::default().with_workers(2).with_batching(8, Duration::from_millis(1));
-    let (_, tw_responses) =
-        serve_closed_loop(Arc::clone(&tw_session), cfg.clone(), payloads.clone());
-    let (_, csr_responses) = serve_closed_loop(csr_session, cfg, payloads);
+    let (_, tw_responses) = closed_loop(Arc::clone(&tw_session), cfg.clone(), payloads.clone());
+    let (_, csr_responses) = closed_loop(csr_session, cfg, payloads);
     let tw_by_id: HashMap<u64, _> = tw_responses.iter().map(|r| (r.id, r)).collect();
     for response in &csr_responses {
         let tw_response = tw_by_id[&response.id];
@@ -134,7 +144,7 @@ fn serving_report_accounts_for_simulated_gpu_time() {
         .with_workers(2)
         .with_batching(8, Duration::from_millis(1))
         .with_gpu_dwell(GpuDwell { time_scale: 100.0 });
-    let (report, _) = serve_closed_loop(tw_session, config, payloads);
+    let (report, _) = closed_loop(tw_session, config, payloads);
     assert_eq!(report.completed, 64);
     // The planner priced every batch: total simulated device time is the
     // per-batch time summed over the batches actually executed.
