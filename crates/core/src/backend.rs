@@ -11,12 +11,12 @@
 //! * [`DenseKernel`] / [`TileWiseKernel`] / [`CsrKernel`] / [`BsrKernel`] —
 //!   the four built-in kernel families (cuBLAS, the paper's TW kernel,
 //!   cuSparse, BlockSparse).
-//! * [`KernelRegistry`] — name → constructor table; registering a new family
-//!   makes it servable end-to-end with no changes to the session, the
-//!   serving runtime or the benchmarks.
+//! * [`KernelRegistry`] — name → constructor and pricer table; registering a
+//!   new family makes it servable end-to-end with no changes to the session,
+//!   the serving runtime or the benchmarks.
 //! * [`AutoPlanner`] — prices every registered family per layer on the
-//!   `tw-gpu-sim` cost model and picks the cheapest, so one session can mix
-//!   kernel families across layers.
+//!   `tw-gpu-sim` cost model and builds only the cheapest, so one session
+//!   can mix kernel families across layers.
 //! * [`Backend`] — the user-facing selection (`FromStr`/`Display`), i.e.
 //!   what a `--backend dense|tw|csr|bsr|auto` flag parses into.
 //!
@@ -216,6 +216,11 @@ impl TileWiseKernel {
     pub fn from_tile(tile: &TileWiseMatrix) -> Self {
         Self { tile: tile.clone() }
     }
+
+    /// The execution [`Self::from_tile`]'s kernel reports, without the copy.
+    fn price(tile: &TileWiseMatrix) -> WeightExecution {
+        WeightExecution::TileWise { tiles: tile.tile_shapes() }
+    }
 }
 
 impl KernelBackend for TileWiseKernel {
@@ -228,7 +233,7 @@ impl KernelBackend for TileWiseKernel {
     }
 
     fn execution(&self) -> WeightExecution {
-        WeightExecution::TileWise { tiles: self.tile.tile_shapes() }
+        Self::price(&self.tile)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -247,6 +252,12 @@ impl CsrKernel {
     /// Converts the masked weights to CSR.
     pub fn from_tile(tile: &TileWiseMatrix) -> Self {
         Self { csr: CsrMatrix::from_dense(&tile.to_dense()), sparsity: tile.sparsity() }
+    }
+
+    /// The execution [`Self::from_tile`]'s kernel reports, without the
+    /// conversion.
+    fn price(tile: &TileWiseMatrix) -> WeightExecution {
+        WeightExecution::Csr { sparsity: tile.sparsity() }
     }
 }
 
@@ -284,7 +295,18 @@ impl BsrKernel {
     /// Converts the masked weights to BSR, with the block edge following the
     /// pruning granularity (capped at [`Self::MAX_BLOCK`]).
     pub fn from_tile(tile: &TileWiseMatrix) -> Self {
-        Self::with_block_size(tile, tile.granularity().clamp(1, Self::MAX_BLOCK))
+        Self::with_block_size(tile, Self::block_size_for(tile))
+    }
+
+    /// The execution [`Self::from_tile`]'s kernel reports, without the
+    /// conversion: the block sparsity is counted from the kept positions.
+    fn price(tile: &TileWiseMatrix) -> WeightExecution {
+        let block_size = Self::block_size_for(tile);
+        WeightExecution::Bsr { block_size, block_sparsity: tile.block_sparsity(block_size) }
+    }
+
+    fn block_size_for(tile: &TileWiseMatrix) -> usize {
+        tile.granularity().clamp(1, Self::MAX_BLOCK)
     }
 
     /// Converts the masked weights to BSR with an explicit block edge.
@@ -321,17 +343,41 @@ impl KernelBackend for BsrKernel {
 /// from its pruned tile-wise weights.  A shared closure (not a bare `fn`)
 /// so builders can capture configuration — a block size, a calibration
 /// table, an external device handle.
-pub type KernelBuilder =
+type KernelBuilder =
     std::sync::Arc<dyn Fn(&TileWiseMatrix) -> Box<dyn KernelBackend> + Send + Sync>;
 
-/// Name → constructor table of the kernel families a session can serve
-/// with.  [`KernelRegistry::standard`] holds the four built-ins; registering
+/// The [`WeightExecution`] a family's kernel would report for a layer, which
+/// is what the auto-planner prices.
+type KernelPricer = std::sync::Arc<dyn Fn(&TileWiseMatrix) -> WeightExecution + Send + Sync>;
+
+/// One registered kernel family.
+#[derive(Clone)]
+struct Family {
+    name: &'static str,
+    build: KernelBuilder,
+    price: KernelPricer,
+}
+
+impl Family {
+    /// A family whose pricer returns exactly what its built kernel's
+    /// [`KernelBackend::execution`] would.
+    fn new(
+        name: &'static str,
+        build: impl Fn(&TileWiseMatrix) -> Box<dyn KernelBackend> + Send + Sync + 'static,
+        price: impl Fn(&TileWiseMatrix) -> WeightExecution + Send + Sync + 'static,
+    ) -> Self {
+        Self { name, build: std::sync::Arc::new(build), price: std::sync::Arc::new(price) }
+    }
+}
+
+/// Name → constructor and pricer table of the kernel families a session
+/// can serve with.  [`KernelRegistry::standard`] holds the four built-ins; registering
 /// another name makes a fifth family selectable everywhere (sessions, the
 /// serving runtime, the auto-planner, the benchmarks) without touching any
 /// of them.
 #[derive(Clone)]
 pub struct KernelRegistry {
-    entries: Vec<(&'static str, KernelBuilder)>,
+    entries: Vec<Family>,
 }
 
 impl KernelRegistry {
@@ -341,34 +387,56 @@ impl KernelRegistry {
         Self { entries: Vec::new() }
     }
 
-    /// The four built-in families: dense, tile-wise, csr, bsr.
+    /// The four built-in families: dense, tile-wise, csr, bsr.  Each is
+    /// priced from the layer's tile-wise matrix in O(kept) work, without
+    /// building its kernel.
     pub fn standard() -> Self {
-        let mut registry = Self::empty();
-        registry.register("dense", |tile| Box::new(DenseKernel::from_tile(tile)));
-        registry.register("tile-wise", |tile| Box::new(TileWiseKernel::from_tile(tile)));
-        registry.register("csr", |tile| Box::new(CsrKernel::from_tile(tile)));
-        registry.register("bsr", |tile| Box::new(BsrKernel::from_tile(tile)));
-        registry
+        let entries = vec![
+            Family::new(
+                "dense",
+                |tile| Box::new(DenseKernel::from_tile(tile)),
+                |_| WeightExecution::Dense,
+            ),
+            Family::new(
+                "tile-wise",
+                |tile| Box::new(TileWiseKernel::from_tile(tile)),
+                TileWiseKernel::price,
+            ),
+            Family::new("csr", |tile| Box::new(CsrKernel::from_tile(tile)), CsrKernel::price),
+            Family::new("bsr", |tile| Box::new(BsrKernel::from_tile(tile)), BsrKernel::price),
+        ];
+        Self { entries }
     }
 
     /// Registers (or replaces) a kernel family under `name`.  The builder
     /// may be a capturing closure (e.g. parameterizing a block size).
+    ///
+    /// The auto-planner prices a family registered here by building its
+    /// kernel and reading [`KernelBackend::execution`], so it needs to know
+    /// nothing else about the family; if the family is the cheapest, its
+    /// kernel is built a second time to serve.
     pub fn register(
         &mut self,
         name: &'static str,
         build: impl Fn(&TileWiseMatrix) -> Box<dyn KernelBackend> + Send + Sync + 'static,
     ) {
-        let build: KernelBuilder = std::sync::Arc::new(build);
-        if let Some(entry) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-            entry.1 = build;
+        let build = std::sync::Arc::new(build);
+        let build_to_price = std::sync::Arc::clone(&build);
+        let family = Family {
+            name,
+            build,
+            price: std::sync::Arc::new(move |tile| build_to_price(tile).execution()),
+        };
+        if let Some(entry) = self.entries.iter_mut().find(|f| f.name == name) {
+            *entry = family;
         } else {
-            self.entries.push((name, build));
+            self.entries.push(family);
         }
     }
 
     /// Registered family names, in registration order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|(n, _)| *n).collect()
+        self.entries.iter().map(|f| f.name).collect()
     }
 
     /// Number of registered families.
@@ -384,12 +452,7 @@ impl KernelRegistry {
     /// Builds the executable form of one layer with the named family, or
     /// `None` if the name is not registered.
     pub fn build(&self, name: &str, tile: &TileWiseMatrix) -> Option<Box<dyn KernelBackend>> {
-        self.entries.iter().find(|(n, _)| *n == name).map(|(_, build)| build(tile))
-    }
-
-    /// Iterates `(name, constructor)` pairs — what the auto-planner prices.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &KernelBuilder)> + '_ {
-        self.entries.iter().map(|(n, b)| (*n, b))
+        self.entries.iter().find(|f| f.name == name).map(|f| (f.build)(tile))
     }
 }
 
@@ -449,15 +512,16 @@ impl AutoPlanner {
         self.planner.plan_layer(self.design_batch, k, n, exec, &self.config).total_time()
     }
 
-    /// Builds every registered family for `tile`, prices each, and returns
-    /// the cheapest kernel.
+    /// Prices every registered family for `tile` and builds only the
+    /// cheapest; a tie goes to the family registered first.
     ///
-    /// Candidates are fully materialized before pricing because a family's
-    /// [`WeightExecution`] comes from its built kernel — the only way an
-    /// *open* registry can price families it knows nothing about.  The cost
-    /// is paid once per layer at session construction, never on the serving
-    /// path; callers planning very large models repeatedly should cache
-    /// sessions rather than re-plan.
+    /// A family's price is [`Self::price`] of the [`WeightExecution`] its
+    /// registry entry reports.  The built-ins of
+    /// [`KernelRegistry::standard`] report it from the tile-wise matrix in
+    /// O(kept) work, so no dense copy, CSR or BSR conversion is made for a
+    /// family that loses.  A family added with [`KernelRegistry::register`]
+    /// is built to be priced (see there).  Planning happens once per layer
+    /// at session construction, never on the serving path.
     ///
     /// # Panics
     /// Panics if the registry is empty.
@@ -467,15 +531,14 @@ impl AutoPlanner {
         tile: &TileWiseMatrix,
     ) -> Box<dyn KernelBackend> {
         assert!(!registry.is_empty(), "auto-planning needs at least one registered backend");
-        let mut best: Option<(f64, Box<dyn KernelBackend>)> = None;
-        for (_, build) in registry.iter() {
-            let kernel = build(tile);
-            let cost = self.price(tile.k(), tile.n(), &kernel.execution());
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                best = Some((cost, kernel));
+        let mut best: Option<(f64, &Family)> = None;
+        for family in &registry.entries {
+            let cost = self.price(tile.k(), tile.n(), &(family.price)(tile));
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, family));
             }
         }
-        best.expect("non-empty registry").1
+        (best.expect("non-empty registry").1.build)(tile)
     }
 }
 
@@ -605,6 +668,77 @@ mod tests {
         let t = tile([768, 768], 0.75, 128, 21);
         let kernel = AutoPlanner::v100(256).choose(&KernelRegistry::standard(), &t);
         assert_eq!(kernel.name(), "tile-wise");
+    }
+
+    #[test]
+    fn standard_pricers_report_the_built_kernels_execution() {
+        let registry = KernelRegistry::standard();
+        let mut tiles = InferenceSession::synthetic_tiles(&[48, 64, 40], 0.6, 16, 3);
+        tiles.extend(InferenceSession::synthetic_tiles(&[192, 192, 96], 0.75, 32, 5));
+        tiles.extend(InferenceSession::synthetic_tiles(&[130, 70], 0.9, 64, 7));
+        tiles.extend(InferenceSession::synthetic_tiles(&[33, 20], 0.0, 5, 9));
+        for t in &tiles {
+            for family in &registry.entries {
+                let built = (family.build)(t).execution();
+                assert_eq!((family.price)(t), built, "{} at {}x{}", family.name, t.k(), t.n());
+            }
+        }
+    }
+
+    #[test]
+    fn registered_families_are_priced_through_their_kernel() {
+        let mut registry = KernelRegistry::empty();
+        registry.register("bsr-4", |tile| Box::new(BsrKernel::with_block_size(tile, 4)));
+        let t = tile([40, 24], 0.5, 8, 4);
+        let expected = BsrKernel::with_block_size(&t, 4).execution();
+        assert_eq!((registry.entries[0].price)(&t), expected);
+    }
+
+    #[test]
+    fn auto_planner_picks_bsr_served_and_tile_wise_at_bert_scale() {
+        let registry = KernelRegistry::standard();
+        let served = AutoPlanner::v100(AutoPlanner::DEFAULT_DESIGN_BATCH);
+        for seed in 1..=3 {
+            for t in InferenceSession::synthetic_tiles(&[192, 192, 96], 0.75, 32, seed) {
+                assert_eq!(served.choose(&registry, &t).name(), "bsr", "served, seed {seed}");
+            }
+        }
+        let bert = AutoPlanner::v100(128);
+        for t in InferenceSession::synthetic_tiles(&[768, 768, 3072, 768], 0.75, 128, 1) {
+            assert_eq!(bert.choose(&registry, &t).name(), "tile-wise", "{}x{}", t.k(), t.n());
+        }
+    }
+
+    /// A dense kernel under another name.
+    #[derive(Debug)]
+    struct Renamed(DenseKernel);
+
+    impl KernelBackend for Renamed {
+        fn name(&self) -> &'static str {
+            "renamed"
+        }
+        fn forward_batch(&self, inputs: &Matrix) -> Matrix {
+            self.0.forward_batch(inputs)
+        }
+        fn execution(&self) -> WeightExecution {
+            self.0.execution()
+        }
+        fn resident_bytes(&self) -> usize {
+            self.0.resident_bytes()
+        }
+    }
+
+    #[test]
+    fn auto_planner_ties_go_to_the_first_registered_family() {
+        let t = tile([32, 32], 0.5, 8, 2);
+        let mut registry = KernelRegistry::empty();
+        registry.register("dense", |tile| Box::new(DenseKernel::from_tile(tile)));
+        registry.register("renamed", |tile| Box::new(Renamed(DenseKernel::from_tile(tile))));
+        assert_eq!(AutoPlanner::default().choose(&registry, &t).name(), "dense");
+        let mut registry = KernelRegistry::empty();
+        registry.register("renamed", |tile| Box::new(Renamed(DenseKernel::from_tile(tile))));
+        registry.register("dense", |tile| Box::new(DenseKernel::from_tile(tile)));
+        assert_eq!(AutoPlanner::default().choose(&registry, &t).name(), "renamed");
     }
 
     #[test]

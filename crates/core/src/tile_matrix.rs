@@ -86,7 +86,14 @@ impl TileWiseMatrix {
             .iter()
             .map(|tile: &TwTile| {
                 let row_indices = tile.kept_row_indices();
-                let payload = weights.select_rows(&row_indices).select_cols(&tile.col_indices);
+                // Gather the kept rows' kept columns straight from the
+                // weights: O(kept) per tile, not O(kept_rows x N).
+                let mut payload = Vec::with_capacity(row_indices.len() * tile.col_indices.len());
+                for &r in &row_indices {
+                    let row = weights.row(r);
+                    payload.extend(tile.col_indices.iter().map(|&c| row[c]));
+                }
+                let payload = Matrix::from_vec(row_indices.len(), tile.col_indices.len(), payload);
                 CompactTile {
                     col_indices: tile.col_indices.clone(),
                     row_keep: tile.row_keep.clone(),
@@ -146,6 +153,34 @@ impl TileWiseMatrix {
             .iter()
             .map(|t| TwTileShape { kept_rows: t.kept_rows(), kept_cols: t.kept_cols() })
             .collect()
+    }
+
+    /// Fraction of the `block_size x block_size` blocks (edge blocks
+    /// clipped) that hold no value `!= 0.0` — the block sparsity
+    /// [`tw_sparse::BsrMatrix::from_dense`] finds in [`Self::to_dense`],
+    /// counted from the kept positions alone.
+    ///
+    /// # Panics
+    /// Panics if `block_size` is zero.
+    pub(crate) fn block_sparsity(&self, block_size: usize) -> f64 {
+        assert!(block_size > 0, "block size must be positive");
+        let block_cols = self.n.div_ceil(block_size);
+        let total = self.k.div_ceil(block_size) * block_cols;
+        if total == 0 {
+            return 0.0;
+        }
+        let mut present = vec![false; total];
+        for tile in &self.tiles {
+            let col_blocks: Vec<usize> = tile.col_indices.iter().map(|c| c / block_size).collect();
+            for (pr, &r) in tile.row_indices.iter().enumerate() {
+                let blocks = &mut present[(r / block_size) * block_cols..][..block_cols];
+                for (&bc, &v) in col_blocks.iter().zip(tile.payload.row(pr)) {
+                    blocks[bc] |= v != 0.0;
+                }
+            }
+        }
+        let stored = present.iter().filter(|&&p| p).count();
+        1.0 - stored as f64 / total as f64
     }
 
     /// Reconstructs the (zero-filled) dense weight matrix — the masked dense
@@ -373,6 +408,52 @@ mod proptests {
             let a = Matrix::random_uniform(m, k, 1.0, seed.wrapping_add(1));
             let reference = gemm(&a, &mask.to_pattern_mask().apply(&weights));
             prop_assert_eq!(twm.matmul(&a), reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Each compacted payload is exactly the weights' kept rows, then
+        /// kept columns, selected from the dense matrix.
+        #[test]
+        fn payloads_are_the_selected_rows_and_cols(
+            k in 1usize..40, n in 1usize..40, g in 1usize..48,
+            sparsity in 0.0f64..0.95, seed in any::<u64>(),
+        ) {
+            let weights = Matrix::random_normal(k, n, 1.0, seed);
+            let mask = tw::prune(
+                &ImportanceScores::magnitude(&weights),
+                &TileWiseConfig::with_granularity(g),
+                SparsityTarget::new(sparsity),
+            );
+            let twm = TileWiseMatrix::from_mask(&weights, &mask);
+            prop_assert_eq!(twm.tiles().len(), mask.tiles().len());
+            for (compact, tile) in twm.tiles().iter().zip(mask.tiles()) {
+                let expected =
+                    weights.select_rows(&tile.kept_row_indices()).select_cols(&tile.col_indices);
+                prop_assert_eq!(compact.payload(), &expected);
+            }
+        }
+
+        /// Block sparsity counted from the kept positions equals the BSR
+        /// conversion's, also when kept weights are exactly zero and when
+        /// blocks overhang the matrix edge.
+        #[test]
+        fn block_sparsity_matches_the_bsr_conversion(
+            k in 1usize..40, n in 1usize..40, g in 1usize..16, block in 1usize..12,
+            sparsity in 0.0f64..0.95, zero_every in 2usize..6, seed in any::<u64>(),
+        ) {
+            let mut weights = Matrix::random_uniform(k, n, 1.0, seed);
+            weights.as_mut_slice().iter_mut().step_by(zero_every).for_each(|v| *v = 0.0);
+            let mask = tw::prune(
+                &ImportanceScores::magnitude(&weights),
+                &TileWiseConfig::with_granularity(g),
+                SparsityTarget::new(sparsity),
+            );
+            let twm = TileWiseMatrix::from_mask(&weights, &mask);
+            let bsr = tw_sparse::BsrMatrix::from_dense(&twm.to_dense(), block);
+            prop_assert_eq!(twm.block_sparsity(block).to_bits(), bsr.block_sparsity().to_bits());
         }
     }
 

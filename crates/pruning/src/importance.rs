@@ -36,9 +36,8 @@ pub struct ImportanceScores {
 impl ImportanceScores {
     /// Magnitude scores: `|w|`.
     pub fn magnitude(weights: &Matrix) -> Self {
-        let scores =
-            Matrix::from_fn(weights.rows(), weights.cols(), |r, c| weights.get(r, c).abs());
-        Self { scores }
+        let abs = weights.as_slice().iter().map(|w| w.abs()).collect();
+        Self { scores: Matrix::from_vec(weights.rows(), weights.cols(), abs) }
     }
 
     /// First-order Taylor scores: `|w * grad|` (Eq. 3).
@@ -47,10 +46,9 @@ impl ImportanceScores {
     /// Panics if weights and gradients have different shapes.
     pub fn taylor(weights: &Matrix, grads: &Matrix) -> Self {
         assert_eq!(weights.shape(), grads.shape(), "weights/grads shape mismatch");
-        let scores = Matrix::from_fn(weights.rows(), weights.cols(), |r, c| {
-            (weights.get(r, c) * grads.get(r, c)).abs()
-        });
-        Self { scores }
+        let products =
+            weights.as_slice().iter().zip(grads.as_slice()).map(|(w, g)| (w * g).abs()).collect();
+        Self { scores: Matrix::from_vec(weights.rows(), weights.cols(), products) }
     }
 
     /// Computes scores with the chosen method.  `grads` may be `None` only
@@ -106,17 +104,6 @@ impl ImportanceScores {
     /// Sum of all scores (the denominator of retained-importance metrics).
     pub fn total(&self) -> f64 {
         self.scores.as_slice().iter().map(|&v| v as f64).sum()
-    }
-
-    /// Sum of scores in column `c`.
-    pub fn col_sum(&self, c: usize) -> f64 {
-        (0..self.rows()).map(|r| self.get(r, c) as f64).sum()
-    }
-
-    /// Sum of scores in row `r` restricted to the given columns (the score of
-    /// a `(1, G)` row tile in Algorithm 1's row-pruning phase).
-    pub fn row_sum_over_cols(&self, r: usize, cols: &[usize]) -> f64 {
-        cols.iter().map(|&c| self.get(r, c) as f64).sum()
     }
 
     /// Sum of scores inside a `block_size x block_size` block whose top-left
@@ -240,8 +227,6 @@ mod tests {
         let s =
             ImportanceScores::from_matrix(Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]));
         assert_eq!(s.total(), 21.0);
-        assert_eq!(s.col_sum(1), 7.0);
-        assert_eq!(s.row_sum_over_cols(1, &[0, 2]), 10.0);
         assert_eq!(s.block_sum(0, 0, 2), 12.0);
         assert_eq!(s.block_sum(0, 2, 2), 9.0); // clipped block
     }

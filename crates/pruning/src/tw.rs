@@ -226,8 +226,8 @@ pub fn prune_global(
     let mut col_refs: Vec<ColRef> = Vec::new();
     for (mi, s) in scores.iter().enumerate() {
         let k = s.rows();
-        for c in 0..s.cols() {
-            let mut score = s.col_sum(c) / k.max(1) as f64;
+        for (c, sum) in column_sums(s).into_iter().enumerate() {
+            let mut score = sum / k.max(1) as f64;
             if let Some(h) = hints {
                 if h[mi].force_prune.contains(&c) {
                     score = 0.0;
@@ -241,17 +241,19 @@ pub fn prune_global(
     col_refs.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("no NaN scores"));
 
     let mut col_keeps: Vec<Vec<bool>> = scores.iter().map(|s| vec![true; s.cols()]).collect();
+    // Surviving columns per matrix, kept in step with `col_keeps`.
+    let mut kept_cols: Vec<usize> = scores.iter().map(|s| s.cols()).collect();
     let mut pruned_elements = 0usize;
     for cref in &col_refs {
         if pruned_elements >= col_budget {
             break;
         }
         // Never let the column phase wipe out an entire matrix.
-        let kept_in_matrix = col_keeps[cref.matrix].iter().filter(|&&k| k).count();
-        if kept_in_matrix <= 1 {
+        if kept_cols[cref.matrix] <= 1 {
             continue;
         }
         col_keeps[cref.matrix][cref.col] = false;
+        kept_cols[cref.matrix] -= 1;
         pruned_elements += cref.elements;
     }
 
@@ -282,8 +284,11 @@ pub fn prune_global(
                 continue;
             }
             for r in 0..s.rows() {
-                let score =
-                    s.row_sum_over_cols(r, &tile.col_indices) / tile.col_indices.len() as f64;
+                // The score of the `(1, G)` row tile: its mean over the
+                // tile's columns, summed in ascending column order.
+                let row = s.as_matrix().row(r);
+                let sum: f64 = tile.col_indices.iter().map(|&c| row[c] as f64).sum();
+                let score = sum / tile.col_indices.len() as f64;
                 row_refs.push(RowRef {
                     matrix: mi,
                     tile: ti,
@@ -296,31 +301,53 @@ pub fn prune_global(
     }
     row_refs.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("no NaN scores"));
 
+    // Surviving rows per tile, kept in step with each tile's `row_keep`.
+    let mut kept_rows: Vec<Vec<usize>> = scores
+        .iter()
+        .zip(&tiles_per_matrix)
+        .map(|(s, tiles)| vec![s.rows(); tiles.len()])
+        .collect();
     let mut pruned_row_elements = 0usize;
     for rref in &row_refs {
         if pruned_row_elements >= row_budget {
             break;
         }
-        let tile = &mut tiles_per_matrix[rref.matrix][rref.tile];
+        let kept = &mut kept_rows[rref.matrix][rref.tile];
         // Never let row pruning remove the last surviving row of a tile.
-        if tile.kept_rows() <= 1 {
+        if *kept <= 1 {
             continue;
         }
-        tile.row_keep[rref.row] = false;
+        tiles_per_matrix[rref.matrix][rref.tile].row_keep[rref.row] = false;
+        *kept -= 1;
         pruned_row_elements += rref.elements;
     }
 
     scores
         .iter()
-        .enumerate()
-        .map(|(mi, s)| TileWiseMask {
+        .zip(col_keeps)
+        .zip(tiles_per_matrix)
+        .map(|((s, col_keep), tiles)| TileWiseMask {
             k: s.rows(),
             n: s.cols(),
             granularity: cfg.granularity,
-            col_keep: col_keeps[mi].clone(),
-            tiles: tiles_per_matrix[mi].clone(),
+            col_keep,
+            tiles,
         })
         .collect()
+}
+
+/// Every column's score sum, in one row-major pass.  Each column still
+/// adds its rows in ascending order, so the sums are those of a column-wise
+/// walk.
+fn column_sums(s: &ImportanceScores) -> Vec<f64> {
+    let scores = s.as_matrix();
+    let mut sums = vec![0.0f64; scores.cols()];
+    for r in 0..scores.rows() {
+        for (sum, &v) in sums.iter_mut().zip(scores.row(r)) {
+            *sum += v as f64;
+        }
+    }
+    sums
 }
 
 #[cfg(test)]
@@ -487,6 +514,131 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use tw_tensor::Matrix;
+
+    /// Per matrix: the column keep mask and every tile's `(columns, row keep
+    /// mask)`.
+    type Decision = (Vec<bool>, Vec<(Vec<usize>, Vec<bool>)>);
+
+    /// Algorithm 1 written the direct way: column sums walked down each
+    /// column, and kept columns and rows recounted before every removal.
+    fn recounting_reference(
+        scores: &[ImportanceScores],
+        cfg: &TileWiseConfig,
+        target: SparsityTarget,
+        hints: Option<&[AprioriHints]>,
+    ) -> Vec<Decision> {
+        let total: usize = scores.iter().map(|s| s.rows() * s.cols()).sum();
+        let target_pruned = target.count_of(total);
+        let col_budget = (cfg.column_budget_share * target_pruned as f64).round() as usize;
+        let mut cols = Vec::new();
+        for (mi, s) in scores.iter().enumerate() {
+            for c in 0..s.cols() {
+                let sum: f64 = (0..s.rows()).map(|r| s.get(r, c) as f64).sum();
+                let mut score = sum / s.rows().max(1) as f64;
+                if let Some(h) = hints {
+                    if h[mi].force_prune.contains(&c) {
+                        score = 0.0;
+                    } else if h[mi].protect.contains(&c) {
+                        score = f64::INFINITY;
+                    }
+                }
+                cols.push((score, mi, c));
+            }
+        }
+        cols.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut col_keeps: Vec<Vec<bool>> = scores.iter().map(|s| vec![true; s.cols()]).collect();
+        let mut pruned = 0;
+        for &(_, mi, c) in &cols {
+            if pruned >= col_budget {
+                break;
+            }
+            if col_keeps[mi].iter().filter(|&&k| k).count() <= 1 {
+                continue;
+            }
+            col_keeps[mi][c] = false;
+            pruned += scores[mi].rows();
+        }
+        let mut tiles: Vec<Vec<(Vec<usize>, Vec<bool>)>> = scores
+            .iter()
+            .zip(&col_keeps)
+            .map(|(s, keep)| {
+                let kept: Vec<usize> = (0..s.cols()).filter(|&c| keep[c]).collect();
+                let mut tiles: Vec<_> = kept
+                    .chunks(cfg.granularity)
+                    .map(|chunk| (chunk.to_vec(), vec![true; s.rows()]))
+                    .collect();
+                if tiles.is_empty() {
+                    tiles.push((Vec::new(), vec![true; s.rows()]));
+                }
+                tiles
+            })
+            .collect();
+        let row_budget = target_pruned.saturating_sub(pruned);
+        let mut rows = Vec::new();
+        for (mi, s) in scores.iter().enumerate() {
+            for (ti, (cols, _)) in tiles[mi].iter().enumerate() {
+                if cols.is_empty() {
+                    continue;
+                }
+                for r in 0..s.rows() {
+                    let sum: f64 = cols.iter().map(|&c| s.get(r, c) as f64).sum();
+                    rows.push((sum / cols.len() as f64, mi, ti, r, cols.len()));
+                }
+            }
+        }
+        rows.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut pruned_rows = 0;
+        for &(_, mi, ti, r, elements) in &rows {
+            if pruned_rows >= row_budget {
+                break;
+            }
+            let keep = &mut tiles[mi][ti].1;
+            if keep.iter().filter(|&&k| k).count() <= 1 {
+                continue;
+            }
+            keep[r] = false;
+            pruned_rows += elements;
+        }
+        col_keeps.into_iter().zip(tiles).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Running counts and row-major sums change no decision: global
+        /// pruning of up to three matrices, with and without apriori hints,
+        /// equals the recounting reference exactly.
+        #[test]
+        fn prune_global_equals_the_recounting_reference(
+            shapes in prop::collection::vec((1usize..20, 1usize..20), 1..4),
+            g in 1usize..12, target in 0.0f64..0.97, share in 0.0f64..1.0,
+            with_hints in any::<bool>(), seed in any::<u64>(),
+        ) {
+            let scores: Vec<ImportanceScores> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, n))| {
+                    let w = Matrix::random_uniform(k, n, 1.0, seed.wrapping_add(i as u64));
+                    ImportanceScores::magnitude(&w)
+                })
+                .collect();
+            let cfg = TileWiseConfig { granularity: g, column_budget_share: share };
+            let target = SparsityTarget::new(target);
+            let hints = with_hints.then(|| {
+                crate::apriori::derive_hints(&scores, target, &crate::AprioriConfig::default())
+            });
+            let masks = prune_global(&scores, &cfg, target, hints.as_deref());
+            let decisions: Vec<Decision> = masks
+                .iter()
+                .map(|m| {
+                    let tiles =
+                        m.tiles().iter().map(|t| (t.col_indices.clone(), t.row_keep.clone()));
+                    (m.col_keep().to_vec(), tiles.collect())
+                })
+                .collect();
+            prop_assert_eq!(decisions, recounting_reference(&scores, &cfg, target, hints.as_deref()));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

@@ -39,26 +39,20 @@ impl BsrMatrix {
         let mut blocks = Vec::new();
         block_row_ptr.push(0);
         for br in 0..block_rows {
+            let row_range = br * block_size..((br + 1) * block_size).min(rows);
             for bc in 0..block_cols {
+                let (c0, c1) = (bc * block_size, ((bc + 1) * block_size).min(cols));
+                let row_part = |r: usize| &dense.row(r)[c0..c1];
+                if !row_range.clone().any(|r| row_part(r).iter().any(|&v| v != 0.0)) {
+                    continue;
+                }
+                // Edge blocks keep their zero padding.
                 let mut payload = vec![0.0f32; block_size * block_size];
-                let mut any_nonzero = false;
-                for i in 0..block_size {
-                    for j in 0..block_size {
-                        let r = br * block_size + i;
-                        let c = bc * block_size + j;
-                        if r < rows && c < cols {
-                            let v = dense.get(r, c);
-                            payload[i * block_size + j] = v;
-                            if v != 0.0 {
-                                any_nonzero = true;
-                            }
-                        }
-                    }
+                for (dst, r) in payload.chunks_exact_mut(block_size).zip(row_range.clone()) {
+                    dst[..c1 - c0].copy_from_slice(row_part(r));
                 }
-                if any_nonzero {
-                    block_col_idx.push(bc);
-                    blocks.push(payload);
-                }
+                block_col_idx.push(bc);
+                blocks.push(payload);
             }
             block_row_ptr.push(block_col_idx.len());
         }
@@ -290,6 +284,16 @@ mod proptests {
         #[test]
         fn round_trip(dense in arb_sparse_dense(), bs in 1usize..9) {
             let bsr = BsrMatrix::from_dense(&dense, bs);
+            // Exactly the blocks holding a non-zero are stored.
+            let (rows, cols) = dense.shape();
+            let nonzero = |br: usize, bc: usize| {
+                (br * bs..((br + 1) * bs).min(rows))
+                    .any(|r| (bc * bs..((bc + 1) * bs).min(cols)).any(|c| dense.get(r, c) != 0.0))
+            };
+            let expected = (0..bsr.block_rows())
+                .map(|br| (0..bsr.block_cols()).filter(|&bc| nonzero(br, bc)).count())
+                .sum::<usize>();
+            prop_assert_eq!(bsr.num_blocks(), expected);
             prop_assert_eq!(bsr.to_dense(), dense);
         }
 

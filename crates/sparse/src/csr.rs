@@ -21,8 +21,9 @@ impl CsrMatrix {
     pub fn from_dense(dense: &Matrix) -> Self {
         let (rows, cols) = dense.shape();
         let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
+        let nnz = dense.count_nonzeros();
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
         row_ptr.push(0);
         for r in 0..rows {
             for (c, &v) in dense.row(r).iter().enumerate() {

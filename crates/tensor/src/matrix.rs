@@ -1,8 +1,12 @@
 //! Row-major dense `f32` matrix.
 
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `(u1, u2)` pairs [`Matrix::random_normal`] draws before transforming
+/// them: keeping the serial generator apart from the `ln`/`cos` work lets
+/// the transform loop run without waiting on each draw.
+const NORMAL_BLOCK: usize = 256;
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -80,10 +84,24 @@ impl Matrix {
     }
 
     /// A matrix with entries drawn i.i.d. from `N(0, std^2)`, seeded.
+    ///
+    /// Box-Muller: each entry takes its own `u1 ∈ [ε, 1)` then
+    /// `u2 ∈ [0, 1)` and is `sqrt(-2 ln u1) · cos(2π u2) · std`.
     pub fn random_normal(rows: usize, cols: usize, std: f32, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let dist = NormalApprox { std };
-        Self::from_fn(rows, cols, |_, _| dist.sample(&mut rng))
+        let mut data = Vec::with_capacity(rows * cols);
+        let mut pairs = [(0.0f32, 0.0f32); NORMAL_BLOCK];
+        while data.len() < rows * cols {
+            let pairs = &mut pairs[..NORMAL_BLOCK.min(rows * cols - data.len())];
+            for pair in pairs.iter_mut() {
+                *pair = (rng.gen_range(f32::EPSILON..1.0), rng.gen_range(0.0..1.0));
+            }
+            data.extend(pairs.iter().map(|&(u1, u2)| {
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+                z * std
+            }));
+        }
+        Self { rows, cols, data }
     }
 
     /// Number of rows.
@@ -188,7 +206,11 @@ impl Matrix {
 
     /// Selects a subset of rows (in the given order) into a new matrix.
     pub fn select_rows(&self, rows: &[usize]) -> Matrix {
-        Matrix::from_fn(rows.len(), self.cols, |i, c| self.get(rows[i], c))
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            data.extend_from_slice(self.row(r));
+        }
+        Matrix { rows: rows.len(), cols: self.cols, data }
     }
 
     /// Number of exactly-zero elements.
@@ -286,21 +308,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         &mut self.data[r * self.cols + c]
-    }
-}
-
-/// A small Box-Muller based normal sampler so we avoid depending on
-/// `rand_distr` from this low-level crate.
-struct NormalApprox {
-    std: f32,
-}
-
-impl Distribution<f32> for NormalApprox {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f32 {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        z * self.std
     }
 }
 
@@ -432,5 +439,64 @@ mod tests {
         assert!(a.max_abs_diff(&b) < 1e-3);
         b.set(0, 0, 2.0);
         assert!(!a.approx_eq(&b, 1e-3));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One `(u1, u2)` draw and one transform per entry, in row-major order.
+    fn sequential_box_muller(len: usize, std: f32, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+                let u2: f32 = rng.gen_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+                z * std
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn random_normal_matches_sequential_box_muller_around_the_block_edge() {
+        for len in [0, 1, NORMAL_BLOCK - 1, NORMAL_BLOCK, NORMAL_BLOCK + 1, 3 * NORMAL_BLOCK + 7] {
+            let m = Matrix::random_normal(1, len, 0.7, len as u64);
+            assert_eq!(bits(m.as_slice()), bits(&sequential_box_muller(len, 0.7, len as u64)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Drawing in blocks changes nothing: every entry is bit-identical to
+        /// the one-at-a-time sampler, whatever the shape.
+        #[test]
+        fn random_normal_matches_sequential_box_muller(
+            rows in 0usize..40, cols in 0usize..40, std in 0.01f32..4.0, seed in any::<u64>(),
+        ) {
+            let m = Matrix::random_normal(rows, cols, std, seed);
+            prop_assert_eq!(m.shape(), (rows, cols));
+            prop_assert_eq!(bits(m.as_slice()), bits(&sequential_box_muller(rows * cols, std, seed)));
+        }
+
+        /// Row and column selection copy exactly the chosen entries, in order.
+        #[test]
+        fn select_rows_and_cols_pick_entries(
+            rows in 1usize..12, cols in 1usize..12, picks in prop::collection::vec(0usize..144, 0..10),
+            seed in any::<u64>(),
+        ) {
+            let m = Matrix::random_uniform(rows, cols, 1.0, seed);
+            let rs: Vec<usize> = picks.iter().map(|p| p % rows).collect();
+            let cs: Vec<usize> = picks.iter().map(|p| p % cols).collect();
+            prop_assert_eq!(m.select_rows(&rs), Matrix::from_fn(rs.len(), cols, |i, c| m.get(rs[i], c)));
+            prop_assert_eq!(m.select_cols(&cs), Matrix::from_fn(rows, cs.len(), |r, i| m.get(r, cs[i])));
+        }
     }
 }
